@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/status.h"
@@ -16,6 +17,19 @@
 #include "storage/page.h"
 
 namespace xdb {
+
+/// A secondary index's definition; the alternative held names its kind.
+using SecondaryIndexDef = std::variant<ValueIndexDef, StructuralIndexDef>;
+
+inline IndexKind KindOf(const SecondaryIndexDef& def) {
+  return std::holds_alternative<ValueIndexDef>(def) ? IndexKind::kValue
+                                                    : IndexKind::kStructural;
+}
+
+inline const std::string& NameOf(const SecondaryIndexDef& def) {
+  return std::visit([](const auto& d) -> const std::string& { return d.name; },
+                    def);
+}
 
 struct ValueIndexMeta {
   ValueIndexDef def;

@@ -79,6 +79,14 @@ uint64_t CountStatNodes(Slice tokens) {
   return n;
 }
 
+std::unique_ptr<SecondaryIndex> MakeIndex(const SecondaryIndexDef& def,
+                                          BTree* tree) {
+  if (const auto* vdef = std::get_if<ValueIndexDef>(&def))
+    return std::make_unique<ValueIndex>(*vdef, tree);
+  return std::make_unique<StructuralIndex>(std::get<StructuralIndexDef>(def),
+                                           tree);
+}
+
 }  // namespace
 
 Status Collection::ReadLockDoc(Transaction* txn, uint64_t doc_id) {
@@ -148,11 +156,13 @@ Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
   });
   XDB_RETURN_NOT_OK(st);
   XDB_RETURN_NOT_OK(docid_tree_->Insert(DocKey(doc_id), Slice()));
-  // Value-index maintenance stays under the exclusive latch: dropping it
-  // here would let concurrent queries scan the index while this document's
-  // postings are half-written.
-  XDB_RETURN_NOT_OK(AddValueIndexEntries(doc_id, tokens, nullptr));
-  XDB_RETURN_NOT_OK(AddStructuralIndexEntries(doc_id, tokens, nullptr));
+  // Index maintenance stays under the exclusive latch: dropping it here
+  // would let concurrent queries scan an index while this document's
+  // entries are half-written. The token stream in hand carries the same
+  // canonical node IDs the record builder just stored.
+  IndexedDocument indexed = IndexedDocument::FromTokens(
+      doc_id, tokens, *engine_->dict(), node_index_.get());
+  XDB_RETURN_NOT_OK(AddToIndexes(&indexed));
   // Statistics last, so a failed insert never counts. Runs for every insert
   // path — client writes, WAL replay, scrub salvage — which is what keeps
   // the incremental counters in step with the data.
@@ -160,93 +170,34 @@ Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
   return doc_id;
 }
 
-Status Collection::AddValueIndexEntries(uint64_t doc_id, Slice tokens,
-                                        ValueIndex* only_index) {
-  // "Index keys for the node ID index and XPath value indexes are generated
-  // per record" in the paper; here keys are generated in one streaming pass
-  // per index over the document, then mapped to record RIDs through the
-  // NodeID index.
-  for (auto& owned : value_indexes_) {
-    ValueIndex* index = owned.index.get();
-    if (only_index != nullptr && index != only_index) continue;
-    TokenStreamSource source(tokens);
-    XDB_ASSIGN_OR_RETURN(
-        NodeSequence hits,
-        xpath::EvaluateXPath(index->def().path, *engine_->dict(), &source,
-                             doc_id, /*want_values=*/true));
-    for (const ResultNode& hit : hits) {
-      XDB_ASSIGN_OR_RETURN(Rid rid,
-                           node_index_->Lookup(doc_id, Slice(hit.node_id)));
-      XDB_RETURN_NOT_OK(index->Add(Slice(hit.string_value), doc_id,
-                                   Slice(hit.node_id), rid));
-    }
-  }
+IndexedDocument Collection::StoredDocument(uint64_t doc_id) {
+  return IndexedDocument::FromStorage(doc_id, records_.get(), *engine_->dict(),
+                                      node_index_.get());
+}
+
+Status Collection::AddToIndexes(IndexedDocument* doc) {
+  for (OwnedIndex& owned : indexes_)
+    XDB_RETURN_NOT_OK(owned.index->AddDocument(doc));
   return Status::OK();
 }
 
-Status Collection::RemoveValueIndexEntries(Transaction* txn, uint64_t doc_id) {
-  (void)txn;
-  for (auto& owned : value_indexes_) {
-    ValueIndex* index = owned.index.get();
-    StoredDocSource source(records_.get(), node_index_.get(), doc_id);
-    XDB_ASSIGN_OR_RETURN(
-        NodeSequence hits,
-        xpath::EvaluateXPath(index->def().path, *engine_->dict(), &source,
-                             doc_id, /*want_values=*/true));
-    for (const ResultNode& hit : hits) {
-      XDB_ASSIGN_OR_RETURN(Rid rid,
-                           node_index_->Lookup(doc_id, Slice(hit.node_id)));
-      XDB_RETURN_NOT_OK(index->Remove(Slice(hit.string_value), doc_id,
-                                      Slice(hit.node_id), rid));
-    }
-  }
+Status Collection::RemoveFromIndexes(uint64_t doc_id) {
+  if (indexes_.empty()) return Status::OK();
+  // From the stored records: the entries to delete carry exactly the node
+  // IDs (and, for structural entries, the (pre, post) numbering implied by
+  // their document order) that AddDocument wrote.
+  IndexedDocument doc = StoredDocument(doc_id);
+  for (OwnedIndex& owned : indexes_)
+    XDB_RETURN_NOT_OK(owned.index->RemoveDocument(&doc));
   return Status::OK();
 }
 
-Status Collection::AddStructuralIndexEntries(uint64_t doc_id, Slice tokens,
-                                             StructuralIndex* only_index) {
-  if (structural_indexes_.empty()) return Status::OK();
-  // One derivation pass serves every structural index: the (pre, post,
-  // level) numbering falls out of the same canonical Dewey walk the record
-  // builder performs, so there is no second parse of the document.
-  TokenStreamSource source(tokens);
-  std::vector<StructuralEntry> entries;
-  XDB_RETURN_NOT_OK(DeriveStructuralEntries(&source, &entries));
-  for (auto& owned : structural_indexes_) {
-    StructuralIndex* index = owned.index.get();
-    if (only_index != nullptr && index != only_index) continue;
-    XDB_RETURN_NOT_OK(index->AddEntries(*engine_->dict(), doc_id, entries));
-  }
-  return Status::OK();
-}
-
-Status Collection::AddStructuralIndexEntriesFromStorage(
-    uint64_t doc_id, StructuralIndex* only_index) {
-  if (structural_indexes_.empty()) return Status::OK();
-  StoredDocSource source(records_.get(), node_index_.get(), doc_id);
-  std::vector<StructuralEntry> entries;
-  XDB_RETURN_NOT_OK(DeriveStructuralEntries(&source, &entries));
-  for (auto& owned : structural_indexes_) {
-    StructuralIndex* index = owned.index.get();
-    if (only_index != nullptr && index != only_index) continue;
-    XDB_RETURN_NOT_OK(index->AddEntries(*engine_->dict(), doc_id, entries));
-  }
-  return Status::OK();
-}
-
-Status Collection::RemoveStructuralIndexEntries(uint64_t doc_id) {
-  if (structural_indexes_.empty()) return Status::OK();
-  // Derive from stored records, not a token round-trip: the entries to
-  // delete must carry the exact node IDs (and the (pre, post) numbering
-  // implied by their document order) that AddEntries previously wrote.
-  StoredDocSource source(records_.get(), node_index_.get(), doc_id);
-  std::vector<StructuralEntry> entries;
-  XDB_RETURN_NOT_OK(DeriveStructuralEntries(&source, &entries));
-  for (auto& owned : structural_indexes_) {
-    XDB_RETURN_NOT_OK(
-        owned.index->RemoveEntries(*engine_->dict(), doc_id, entries));
-  }
-  return Status::OK();
+NodeLocator* Collection::ReadLocator(Transaction* txn, SnapshotLocator* snap) {
+  if (txn->mode != IsolationMode::kSnapshot || !meta_.mvcc_enabled)
+    return node_index_.get();
+  *snap = SnapshotLocator(versions_.get(),
+                          engine_->txns()->Snapshot(txn, versions_.get()));
+  return snap;
 }
 
 Result<std::string> Collection::GetDocumentText(Transaction* txn,
@@ -257,14 +208,9 @@ Result<std::string> Collection::GetDocumentText(Transaction* txn,
   Status st = [&]() -> Status {
     XDB_RETURN_NOT_OK(ReadLockDoc(at.get(), doc_id));
     ReaderMutexLock latch(latch_);
-    NodeLocator* locator = node_index_.get();
     SnapshotLocator snap(versions_.get(), 0);
-    if (at.get()->mode == IsolationMode::kSnapshot && meta_.mvcc_enabled) {
-      snap = SnapshotLocator(
-          versions_.get(),
-          engine_->txns()->Snapshot(at.get(), versions_.get()));
-      locator = &snap;
-    } else {
+    NodeLocator* locator = ReadLocator(at.get(), &snap);
+    if (locator != &snap) {
       XDB_ASSIGN_OR_RETURN(bool exists, docid_tree_->Contains(DocKey(doc_id)));
       if (!exists) return Status::NotFound("no such document");
     }
@@ -296,8 +242,7 @@ Status Collection::DeleteDocument(Transaction* txn, uint64_t doc_id) {
     // latch section so queries never observe postings pointing at freed
     // records.
     WriterMutexLock latch(latch_);
-    XDB_RETURN_NOT_OK(RemoveValueIndexEntries(at.get(), doc_id));
-    XDB_RETURN_NOT_OK(RemoveStructuralIndexEntries(doc_id));
+    XDB_RETURN_NOT_OK(RemoveFromIndexes(doc_id));
     return DeleteDocumentLocked(at.get(), doc_id);
   }();
   return at.Finish(st);
@@ -329,7 +274,10 @@ Status Collection::MaintainValueIndexesForTextUpdate(uint64_t doc_id,
                                                      NodeLocator* locator,
                                                      Slice old_text,
                                                      Slice new_text) {
-  if (value_indexes_.empty()) return Status::OK();
+  if (std::none_of(indexes_.begin(), indexes_.end(), [](const OwnedIndex& o) {
+        return o.index->kind() == IndexKind::kValue;
+      }))
+    return Status::OK();
   (void)old_text;
   (void)new_text;
   // Collect the ancestor elements of the text node with their concrete
@@ -386,8 +334,9 @@ Status Collection::MaintainValueIndexesForTextUpdate(uint64_t doc_id,
     step.test = xpath::NodeTest::kName;
     XDB_ASSIGN_OR_RETURN(step.name, engine_->dict()->Name(a.local));
     concrete.steps.push_back(std::move(step));
-    for (auto& owned : value_indexes_) {
-      ValueIndex* index = owned.index.get();
+    for (OwnedIndex& owned : indexes_) {
+      if (owned.index->kind() != IndexKind::kValue) continue;
+      auto* index = static_cast<ValueIndex*>(owned.index.get());
       auto ipath = xpath::ParsePath(index->def().path);
       if (!ipath.ok()) continue;
       if (!xpath::PathContains(ipath.value(), concrete)) continue;
@@ -480,20 +429,6 @@ Status Collection::UpdateTextNode(Transaction* txn, uint64_t doc_id,
   return at.Finish(st);
 }
 
-Status Collection::ReindexDocument(uint64_t doc_id) {
-  if (!value_indexes_.empty()) {
-    StoredDocSource source(records_.get(), node_index_.get(), doc_id);
-    TokenWriter tokens;
-    XDB_RETURN_NOT_OK(EventsToTokens(&source, &tokens));
-    XDB_RETURN_NOT_OK(AddValueIndexEntries(doc_id, tokens.data(), nullptr));
-  }
-  // Structural entries are re-derived straight from storage: the stored
-  // node IDs (Between()-allocated after a subtree edit) are what queries
-  // see, and the token round-trip above re-synthesizes ordinal IDs that no
-  // longer match them.
-  return AddStructuralIndexEntriesFromStorage(doc_id, nullptr);
-}
-
 Status Collection::CollectSubtreeRecords(uint64_t doc_id, Slice node_id,
                                          Slice record,
                                          std::vector<Rid>* out) {
@@ -583,12 +518,11 @@ Result<std::string> Collection::InsertSubtreeLocked(Transaction* txn,
                                                     Slice after_sibling_id,
                                                     Slice fragment_tokens) {
   (void)txn;
-  // Value index entries are rebuilt from scratch around the change (ancestor
-  // string values change too, so per-entry surgery would be error-prone).
-  // Structural entries likewise: the insert renumbers (pre, post) for every
-  // node after the splice point, so removal must see the pre-mutation IDs.
-  XDB_RETURN_NOT_OK(RemoveValueIndexEntries(nullptr, doc_id));
-  XDB_RETURN_NOT_OK(RemoveStructuralIndexEntries(doc_id));
+  // Index entries are rebuilt from the stored records around the change:
+  // ancestor string values change too, and the insert renumbers (pre, post)
+  // for every node after the splice point, so removal must see the
+  // pre-mutation document and the re-add the post-mutation one.
+  XDB_RETURN_NOT_OK(RemoveFromIndexes(doc_id));
 
   XDB_ASSIGN_OR_RETURN(Rid parent_rid,
                        node_index_->Lookup(doc_id, parent_id));
@@ -708,7 +642,8 @@ Result<std::string> Collection::InsertSubtreeLocked(Transaction* txn,
   XDB_RETURN_NOT_OK(
       node_index_->AddRecord(doc_id, new_parent_record, parent_rid));
 
-  XDB_RETURN_NOT_OK(ReindexDocument(doc_id));
+  IndexedDocument reindexed = StoredDocument(doc_id);
+  XDB_RETURN_NOT_OK(AddToIndexes(&reindexed));
   stats_.NoteDocumentMutated();
   return new_abs;
 }
@@ -741,8 +676,7 @@ Status Collection::DeleteSubtreeLocked(Transaction* txn, uint64_t doc_id,
   XDB_ASSIGN_OR_RETURN(Slice parent_id, nodeid::Parent(node_id));
   if (parent_id.empty())
     return Status::InvalidArgument("cannot delete the root element");
-  XDB_RETURN_NOT_OK(RemoveValueIndexEntries(nullptr, doc_id));
-  XDB_RETURN_NOT_OK(RemoveStructuralIndexEntries(doc_id));
+  XDB_RETURN_NOT_OK(RemoveFromIndexes(doc_id));
 
   // The record holding the parent's child list holds either the subtree
   // inline or a proxy for it.
@@ -771,196 +705,157 @@ Status Collection::DeleteSubtreeLocked(Transaction* txn, uint64_t doc_id,
     XDB_RETURN_NOT_OK(node_index_->RemoveRecord(doc_id, bytes, rid));
     XDB_RETURN_NOT_OK(records_->Delete(rid));
   }
-  XDB_RETURN_NOT_OK(ReindexDocument(doc_id));
+  IndexedDocument reindexed = StoredDocument(doc_id);
+  XDB_RETURN_NOT_OK(AddToIndexes(&reindexed));
   stats_.NoteDocumentMutated();
   return Status::OK();
 }
 
-Status Collection::CreateValueIndex(const ValueIndexDef& def) {
-  // ddl_mu_ spans the mutation AND its WAL record: a concurrent drop of the
-  // same index cannot slip its record into the log between them, so the log
-  // order always matches the application order (replay/replica convergence
-  // depends on it).
-  MutexLock ddl(ddl_mu_);
-  XDB_RETURN_NOT_OK(ApplyCreateValueIndex(def));
-  return engine_->LogCreateIndex(meta_.name, def);
+SecondaryIndex* Collection::FindIndex(IndexKind kind,
+                                      const std::string& name) {
+  for (OwnedIndex& owned : indexes_) {
+    if (owned.index->kind() == kind && owned.index->name() == name)
+      return owned.index.get();
+  }
+  return nullptr;
 }
 
-Status Collection::ApplyCreateValueIndex(const ValueIndexDef& def) {
-  XDB_RETURN_NOT_OK(GuardWrite());
-  XDB_ASSIGN_OR_RETURN(xpath::Path path, xpath::ParsePath(def.path));
-  if (!xpath::IsIndexablePath(path))
-    return Status::InvalidArgument(
-        "value index paths must be linear, predicate-free, and end in an "
-        "element or attribute");
-  {
-    WriterMutexLock latch(latch_);
-    for (auto& owned : value_indexes_) {
-      if (owned.index->def().name == def.name)
-        return Status::InvalidArgument("index '" + def.name + "' exists");
-    }
-    XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree,
-                         BTree::Create(buffer_.get()));
-    auto index = std::make_unique<ValueIndex>(def, tree.get());
-    ValueIndex* raw = index.get();
-    // Stats listener first, so the backfill below is counted too. This bumps
-    // the stats epoch, invalidating every cached plan priced without the
-    // index.
-    raw->set_stats_listener(stats_.NoteIndexCreated(def.name));
-    meta_.value_indexes.push_back(ValueIndexMeta{def, tree->root()});
-    value_indexes_.push_back(
-        OwnedValueIndex{std::move(tree), std::move(index)});
+Status Collection::CreateIndex(const SecondaryIndexDef& def) {
+  MutexLock ddl(ddl_mu_);
+  XDB_RETURN_NOT_OK(ApplyCreateIndex(def));
+  return engine_->LogIndexDdl(meta_.name, KindOf(def), NameOf(def), &def);
+}
 
-    // Backfill from existing documents, still under the exclusive latch so a
-    // concurrent query never plans against a half-backfilled index.
+Status Collection::ApplyCreateIndex(const SecondaryIndexDef& def) {
+  XDB_RETURN_NOT_OK(GuardWrite());
+  const IndexKind kind = KindOf(def);
+  const std::string& name = NameOf(def);
+  if (const auto* vdef = std::get_if<ValueIndexDef>(&def)) {
+    XDB_ASSIGN_OR_RETURN(xpath::Path path, xpath::ParsePath(vdef->path));
+    if (!xpath::IsIndexablePath(path))
+      return Status::InvalidArgument(
+          "value index paths must be linear, predicate-free, and end in an "
+          "element or attribute");
+  } else if (name.empty()) {
+    return Status::InvalidArgument("structural index needs a name");
+  }
+  WriterMutexLock latch(latch_);
+  if (FindIndex(kind, name) != nullptr)
+    return Status::InvalidArgument("index '" + name + "' exists");
+  XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree,
+                       BTree::Create(buffer_.get()));
+  std::unique_ptr<SecondaryIndex> index = MakeIndex(def, tree.get());
+  // Stats listener first, so the backfill below is counted too. This bumps
+  // the stats epoch, invalidating every cached plan priced without the
+  // index.
+  stats_.AttachIndex(index.get(), /*created=*/true);
+  // Backfill from the stored documents, still under the exclusive latch so
+  // a concurrent query never plans against a half-backfilled index. The
+  // index is registered only once complete, so a failed backfill leaves no
+  // trace once its statistics entry is withdrawn.
+  Status st = [&]() -> Status {
     XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, ListDocIdsUnlocked());
     for (uint64_t doc_id : docs) {
-      StoredDocSource source(records_.get(), node_index_.get(), doc_id);
-      TokenWriter tokens;
-      XDB_RETURN_NOT_OK(EventsToTokens(&source, &tokens));
-      XDB_RETURN_NOT_OK(AddValueIndexEntries(doc_id, tokens.data(), raw));
+      IndexedDocument doc = StoredDocument(doc_id);
+      XDB_RETURN_NOT_OK(index->AddDocument(&doc));
     }
-    index_version_.fetch_add(1, std::memory_order_acq_rel);
-    plan_cache_.Invalidate("index created");
+    return Status::OK();
+  }();
+  if (!st.ok()) {
+    stats_.NoteIndexDropped(kind, name);
+    return st;
   }
-  // No WAL append here: the logging wrapper (CreateValueIndex) does it,
-  // outside the latch — replay holds the WAL lock while taking collection
-  // latches, so appending under the latch would deadlock.
+  if (kind == IndexKind::kValue) {
+    meta_.value_indexes.push_back({std::get<ValueIndexDef>(def), tree->root()});
+  } else {
+    meta_.structural_indexes.push_back(
+        {std::get<StructuralIndexDef>(def), tree->root()});
+  }
+  indexes_.push_back(OwnedIndex{std::move(tree), std::move(index)});
+  index_version_.fetch_add(1, std::memory_order_acq_rel);
+  plan_cache_.Invalidate("index created");
+  // No WAL append here: CreateIndex does it after the latch is released —
+  // replay holds the WAL lock while taking collection latches, so appending
+  // under the latch would deadlock.
   return Status::OK();
 }
 
-Status Collection::DropValueIndex(const std::string& name) {
-  // Same atomicity as CreateValueIndex: mutation + WAL record under ddl_mu_.
+Status Collection::DropIndex(IndexKind kind, const std::string& name) {
   MutexLock ddl(ddl_mu_);
-  XDB_RETURN_NOT_OK(ApplyDropValueIndex(name));
-  return engine_->LogDropIndex(meta_.name, name);
+  XDB_RETURN_NOT_OK(ApplyDropIndex(kind, name));
+  return engine_->LogIndexDdl(meta_.name, kind, name, nullptr);
 }
 
-Status Collection::ApplyDropValueIndex(const std::string& name) {
+Status Collection::ApplyDropIndex(IndexKind kind, const std::string& name) {
   XDB_RETURN_NOT_OK(GuardWrite());
-  {
-    WriterMutexLock latch(latch_);
-    size_t pos = value_indexes_.size();
-    for (size_t i = 0; i < value_indexes_.size(); i++) {
-      if (value_indexes_[i].index->def().name == name) {
-        pos = i;
-        break;
-      }
-    }
-    if (pos == value_indexes_.size())
-      return Status::NotFound("no value index '" + name + "'");
-    // Version bump + cache clear BEFORE the ValueIndex is destroyed: any plan
-    // compiled against the old index set fails the structure-version gate
-    // under this same latch, so its dangling pointer is never dereferenced.
-    index_version_.fetch_add(1, std::memory_order_acq_rel);
-    plan_cache_.Invalidate("index dropped");
-    stats_.NoteIndexDropped(name);
-    value_indexes_.erase(value_indexes_.begin() + static_cast<long>(pos));
-    for (auto it = meta_.value_indexes.begin();
-         it != meta_.value_indexes.end(); ++it) {
-      if (it->def.name == name) {
-        meta_.value_indexes.erase(it);
-        break;
-      }
-    }
+  WriterMutexLock latch(latch_);
+  SecondaryIndex* doomed = FindIndex(kind, name);
+  if (doomed == nullptr) return Status::NotFound("no index '" + name + "'");
+  // Version bump + cache clear BEFORE the index is destroyed: any plan
+  // compiled against the old index set fails the structure-version gate
+  // under this same latch, so its dangling pointer is never dereferenced.
+  index_version_.fetch_add(1, std::memory_order_acq_rel);
+  plan_cache_.Invalidate("index dropped");
+  stats_.NoteIndexDropped(kind, name);
+  std::erase_if(indexes_, [&](const OwnedIndex& owned) {
+    return owned.index.get() == doomed;
+  });
+  auto named = [&](const auto& meta) { return meta.def.name == name; };
+  if (kind == IndexKind::kValue) {
+    std::erase_if(meta_.value_indexes, named);
+  } else {
+    std::erase_if(meta_.structural_indexes, named);
   }
   return Status::OK();
 }
 
-ValueIndex* Collection::FindValueIndex(const std::string& name) {
-  for (auto& owned : value_indexes_) {
-    if (owned.index->def().name == name) return owned.index.get();
-  }
-  return nullptr;
-}
+Status Collection::OpenStorage(bool create) {
+  buffer_ = std::make_unique<BufferManager>(space_.get(), buffer_pages_,
+                                            buffer_shards_);
+  buffer_->set_event_log(engine_->events());
+  buffer_->set_wait_sink(engine_->wait_sink());
+  Engine* eng = engine_;
+  buffer_->set_lsn_source(
+      [eng] { return eng->wal_ != nullptr ? eng->wal_->size() : 0; });
+  records_ = std::make_unique<RecordManager>(buffer_.get());
+  if (!create) XDB_RETURN_NOT_OK(records_->Recover());
 
-Status Collection::CreateStructuralIndex(const StructuralIndexDef& def) {
-  // Same DDL atomicity as CreateValueIndex: mutation + WAL record under
-  // ddl_mu_ so log order always matches application order.
-  MutexLock ddl(ddl_mu_);
-  XDB_RETURN_NOT_OK(ApplyCreateStructuralIndex(def));
-  return engine_->LogCreateStructuralIndex(meta_.name, def);
-}
-
-Status Collection::ApplyCreateStructuralIndex(const StructuralIndexDef& def) {
-  XDB_RETURN_NOT_OK(GuardWrite());
-  if (def.name.empty())
-    return Status::InvalidArgument("structural index needs a name");
-  {
-    WriterMutexLock latch(latch_);
-    for (auto& owned : structural_indexes_) {
-      if (owned.index->def().name == def.name)
-        return Status::InvalidArgument("structural index '" + def.name +
-                                       "' exists");
+  // Every index is one more B+tree in the table space: opened at its
+  // catalog root, or created (and its root recorded) when the space is new
+  // or the root unset.
+  auto open_tree = [&](PageId* root, std::unique_ptr<BTree>* tree) -> Status {
+    if (create || *root == kInvalidPageId) {
+      XDB_ASSIGN_OR_RETURN(*tree, BTree::Create(buffer_.get()));
+    } else {
+      XDB_ASSIGN_OR_RETURN(*tree, BTree::Open(buffer_.get(), *root));
     }
-    XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree,
-                         BTree::Create(buffer_.get()));
-    auto index = std::make_unique<StructuralIndex>(def, tree.get());
-    StructuralIndex* raw = index.get();
-    // Stats listener first, so the backfill below is counted too. Bumps the
-    // stats epoch, invalidating every cached plan priced without the index.
-    raw->set_stats_listener(stats_.NoteStructuralIndexCreated(def.name));
-    meta_.structural_indexes.push_back(StructuralIndexMeta{def, tree->root()});
-    structural_indexes_.push_back(
-        OwnedStructuralIndex{std::move(tree), std::move(index)});
-
-    // Backfill from existing documents under the exclusive latch, deriving
-    // from stored records so documents reshaped by subtree edits index
-    // their real node IDs.
-    XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> docs, ListDocIdsUnlocked());
-    for (uint64_t doc_id : docs)
-      XDB_RETURN_NOT_OK(AddStructuralIndexEntriesFromStorage(doc_id, raw));
-    index_version_.fetch_add(1, std::memory_order_acq_rel);
-    plan_cache_.Invalidate("structural index created");
+    *root = (*tree)->root();
+    return Status::OK();
+  };
+  XDB_RETURN_NOT_OK(open_tree(&meta_.docid_index_root, &docid_tree_));
+  XDB_RETURN_NOT_OK(open_tree(&meta_.nodeid_index_root, &nodeid_tree_));
+  node_index_ = std::make_unique<NodeIdIndex>(nodeid_tree_.get());
+  if (meta_.mvcc_enabled) {
+    XDB_RETURN_NOT_OK(open_tree(&meta_.versioned_index_root, &versioned_tree_));
+    versions_ = std::make_unique<VersionManager>(versioned_tree_.get());
+    versions_->InitCounters(meta_.last_version);
   }
-  // No WAL append here: the logging wrapper does it outside the latch (see
-  // ApplyCreateValueIndex).
+  auto open_index = [&](const SecondaryIndexDef& def, PageId* root) -> Status {
+    std::unique_ptr<BTree> tree;
+    XDB_RETURN_NOT_OK(open_tree(root, &tree));
+    std::unique_ptr<SecondaryIndex> index = MakeIndex(def, tree.get());
+    // Not `created`: the persisted stats epoch already accounts for these
+    // indexes, so wiring them must not bump it.
+    stats_.AttachIndex(index.get(), /*created=*/false);
+    indexes_.push_back(OwnedIndex{std::move(tree), std::move(index)});
+    return Status::OK();
+  };
+  indexes_.clear();
+  for (ValueIndexMeta& vi : meta_.value_indexes)
+    XDB_RETURN_NOT_OK(open_index(vi.def, &vi.root));
+  for (StructuralIndexMeta& si : meta_.structural_indexes)
+    XDB_RETURN_NOT_OK(open_index(si.def, &si.root));
   return Status::OK();
-}
-
-Status Collection::DropStructuralIndex(const std::string& name) {
-  MutexLock ddl(ddl_mu_);
-  XDB_RETURN_NOT_OK(ApplyDropStructuralIndex(name));
-  return engine_->LogDropStructuralIndex(meta_.name, name);
-}
-
-Status Collection::ApplyDropStructuralIndex(const std::string& name) {
-  XDB_RETURN_NOT_OK(GuardWrite());
-  {
-    WriterMutexLock latch(latch_);
-    size_t pos = structural_indexes_.size();
-    for (size_t i = 0; i < structural_indexes_.size(); i++) {
-      if (structural_indexes_[i].index->def().name == name) {
-        pos = i;
-        break;
-      }
-    }
-    if (pos == structural_indexes_.size())
-      return Status::NotFound("no structural index '" + name + "'");
-    // Version bump + cache clear BEFORE the StructuralIndex is destroyed:
-    // any plan compiled against the old index set fails the
-    // structure-version gate under this same latch.
-    index_version_.fetch_add(1, std::memory_order_acq_rel);
-    plan_cache_.Invalidate("structural index dropped");
-    stats_.NoteStructuralIndexDropped(name);
-    structural_indexes_.erase(structural_indexes_.begin() +
-                              static_cast<long>(pos));
-    for (auto it = meta_.structural_indexes.begin();
-         it != meta_.structural_indexes.end(); ++it) {
-      if (it->def.name == name) {
-        meta_.structural_indexes.erase(it);
-        break;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-StructuralIndex* Collection::FindStructuralIndex(const std::string& name) {
-  for (auto& owned : structural_indexes_) {
-    if (owned.index->def().name == name) return owned.index.get();
-  }
-  return nullptr;
 }
 
 Result<std::vector<uint64_t>> Collection::ListDocIds() {
@@ -1027,16 +922,9 @@ Result<std::string> Collection::SerializeSubtree(Transaction* txn,
   Status st = [&]() -> Status {
     XDB_RETURN_NOT_OK(ReadLockDoc(at.get(), doc_id));
     ReaderMutexLock latch(latch_);
-    NodeLocator* locator = node_index_.get();
     SnapshotLocator snap(versions_.get(), 0);
-    if (at.get()->mode == IsolationMode::kSnapshot && meta_.mvcc_enabled) {
-      snap = SnapshotLocator(
-          versions_.get(),
-          engine_->txns()->Snapshot(at.get(), versions_.get()));
-      locator = &snap;
-    }
-    StoredDocSource source(records_.get(), locator, doc_id,
-                           node_id.ToString());
+    StoredDocSource source(records_.get(), ReadLocator(at.get(), &snap),
+                           doc_id, node_id.ToString());
     TokenWriter tokens;
     XDB_RETURN_NOT_OK(EventsToTokens(&source, &tokens));
     return SerializeTokens(tokens.data(), *engine_->dict(), {}, &out);
@@ -1142,10 +1030,14 @@ Collection::CompileForExecution(xpath::Path&& path,
     // I/O), so the hold stays brief.
     ReaderMutexLock latch(latch_);
     query::PlannerContext ctx;
-    for (auto& owned : value_indexes_)
-      ctx.indexes.push_back(owned.index.get());
-    for (auto& owned : structural_indexes_)
-      ctx.structural_indexes.push_back(owned.index.get());
+    for (OwnedIndex& owned : indexes_) {
+      if (owned.index->kind() == IndexKind::kValue) {
+        ctx.indexes.push_back(static_cast<ValueIndex*>(owned.index.get()));
+      } else {
+        ctx.structural_indexes.push_back(
+            static_cast<StructuralIndex*>(owned.index.get()));
+      }
+    }
     cp->index_version = index_version_.load(std::memory_order_acquire);
     ctx.doc_count = docs;
     // Cheap cardinality statistic (no index walk): stored records per doc.
@@ -1302,16 +1194,9 @@ Result<QueryResult> Collection::ExecuteCompiled(
     result.stats.rechecked = plan.need_recheck;
 
     // Snapshot vs locking read machinery.
-    NodeLocator* locator = node_index_.get();
     SnapshotLocator snap(versions_.get(), 0);
-    const bool snapshot_read =
-        at.get()->mode == IsolationMode::kSnapshot && meta_.mvcc_enabled;
-    if (snapshot_read) {
-      snap = SnapshotLocator(
-          versions_.get(),
-          engine_->txns()->Snapshot(at.get(), versions_.get()));
-      locator = &snap;
-    }
+    NodeLocator* locator = ReadLocator(at.get(), &snap);
+    const bool snapshot_read = locator == &snap;
 
     // Evaluates the full query over a candidate DocID list, fanning out to
     // the engine's query pool when the list is big enough to pay for it.
@@ -1812,8 +1697,7 @@ Result<std::string> Collection::ReadDocTokensForScrub(uint64_t doc_id) {
 Status Collection::RebuildStorage() {
   WriterMutexLock latch(latch_);
   // Tear down top-down so nothing flushes into the space after it is reset.
-  value_indexes_.clear();
-  structural_indexes_.clear();
+  indexes_.clear();
   node_index_.reset();
   versions_.reset();
   docid_tree_.reset();
@@ -1833,45 +1717,7 @@ Status Collection::RebuildStorage() {
     XDB_ASSIGN_OR_RETURN(space_, TableSpace::Create(space_path_, ts));
     space_->set_event_log(engine_->events());
   }
-
-  buffer_ =
-      std::make_unique<BufferManager>(space_.get(), buffer_pages_, buffer_shards_);
-  buffer_->set_event_log(engine_->events());
-  buffer_->set_wait_sink(engine_->wait_sink());
-  Engine* eng = engine_;
-  buffer_->set_lsn_source(
-      [eng] { return eng->wal_ != nullptr ? eng->wal_->size() : 0; });
-  records_ = std::make_unique<RecordManager>(buffer_.get());
-
-  XDB_ASSIGN_OR_RETURN(docid_tree_, BTree::Create(buffer_.get()));
-  XDB_ASSIGN_OR_RETURN(nodeid_tree_, BTree::Create(buffer_.get()));
-  meta_.docid_index_root = docid_tree_->root();
-  meta_.nodeid_index_root = nodeid_tree_->root();
-  node_index_ = std::make_unique<NodeIdIndex>(nodeid_tree_.get());
-  if (meta_.mvcc_enabled) {
-    XDB_ASSIGN_OR_RETURN(versioned_tree_, BTree::Create(buffer_.get()));
-    meta_.versioned_index_root = versioned_tree_->root();
-    versions_ = std::make_unique<VersionManager>(versioned_tree_.get());
-    versions_->InitCounters(meta_.last_version);
-  }
-  for (ValueIndexMeta& vi : meta_.value_indexes) {
-    XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree,
-                         BTree::Create(buffer_.get()));
-    vi.root = tree->root();
-    auto index = std::make_unique<ValueIndex>(vi.def, tree.get());
-    index->set_stats_listener(stats_.ListenerFor(vi.def.name));
-    value_indexes_.push_back(
-        OwnedValueIndex{std::move(tree), std::move(index)});
-  }
-  for (StructuralIndexMeta& si : meta_.structural_indexes) {
-    XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree,
-                         BTree::Create(buffer_.get()));
-    si.root = tree->root();
-    auto index = std::make_unique<StructuralIndex>(si.def, tree.get());
-    index->set_stats_listener(stats_.StructuralListenerFor(si.def.name));
-    structural_indexes_.push_back(
-        OwnedStructuralIndex{std::move(tree), std::move(index)});
-  }
+  XDB_RETURN_NOT_OK(OpenStorage(/*create=*/true));
   // Empty storage, empty (but valid) statistics; the epoch stays monotonic
   // so cached-plan keys from before the rebuild can never match again.
   stats_.ResetEmpty(stats_.epoch());

@@ -182,25 +182,30 @@ class Collection {
   Status DeleteSubtree(Transaction* txn, uint64_t doc_id, Slice node_id)
       XDB_EXCLUDES(latch_);
 
+  /// Secondary-index DDL. All four run the one create/drop path (see
+  /// CreateIndex/DropIndex): value and structural indexes differ only in
+  /// their definition and live in separate name spaces.
+  ///
   /// Creates an XPath value index and backfills it from existing documents.
   Status CreateValueIndex(const ValueIndexDef& def)
-      XDB_EXCLUDES(latch_) XDB_EXCLUDES(ddl_mu_);
-
+      XDB_EXCLUDES(latch_) XDB_EXCLUDES(ddl_mu_) {
+    return CreateIndex(def);
+  }
   /// Drops a value index. Bumps the index-structure version and clears the
   /// plan cache so no compiled plan ever probes the destroyed index.
   Status DropValueIndex(const std::string& name)
-      XDB_EXCLUDES(latch_) XDB_EXCLUDES(ddl_mu_);
-
-  /// Creates a structural (pre,post)-interval index and backfills it from
-  /// existing documents. Same DDL discipline as CreateValueIndex: logged to
-  /// the WAL under ddl_mu_, crash-recovers and replicates.
+      XDB_EXCLUDES(latch_) XDB_EXCLUDES(ddl_mu_) {
+    return DropIndex(IndexKind::kValue, name);
+  }
+  /// Creates a structural (pre,post)-interval index and backfills it.
   Status CreateStructuralIndex(const StructuralIndexDef& def)
-      XDB_EXCLUDES(latch_) XDB_EXCLUDES(ddl_mu_);
-
-  /// Drops a structural index (same invalidation contract as value-index
-  /// drop: index-version bump + plan-cache clear).
+      XDB_EXCLUDES(latch_) XDB_EXCLUDES(ddl_mu_) {
+    return CreateIndex(def);
+  }
   Status DropStructuralIndex(const std::string& name)
-      XDB_EXCLUDES(latch_) XDB_EXCLUDES(ddl_mu_);
+      XDB_EXCLUDES(latch_) XDB_EXCLUDES(ddl_mu_) {
+    return DropIndex(IndexKind::kStructural, name);
+  }
 
   /// Evaluates an XPath query over the collection. Compiled plans are served
   /// from the per-collection plan cache when enabled (keyed by query text,
@@ -236,8 +241,15 @@ class Collection {
   RecordManager* records() { return records_.get(); }
   NodeIdIndex* node_index() { return node_index_.get(); }
   VersionManager* versions() { return versions_.get(); }
-  ValueIndex* FindValueIndex(const std::string& name);
-  StructuralIndex* FindStructuralIndex(const std::string& name);
+  /// The live index of that kind and name, or null.
+  SecondaryIndex* FindIndex(IndexKind kind, const std::string& name);
+  ValueIndex* FindValueIndex(const std::string& name) {
+    return static_cast<ValueIndex*>(FindIndex(IndexKind::kValue, name));
+  }
+  StructuralIndex* FindStructuralIndex(const std::string& name) {
+    return static_cast<StructuralIndex*>(
+        FindIndex(IndexKind::kStructural, name));
+  }
   BufferManager* buffer_manager() { return buffer_.get(); }
   const CollectionMeta& meta() const { return meta_; }
   uint64_t storage_bytes() const { return records_->StorageBytes(); }
@@ -250,31 +262,23 @@ class Collection {
   // transactions are created/finished by the public methods.
   Status ReadLockDoc(Transaction* txn, uint64_t doc_id);
   Status WriteLockDoc(Transaction* txn, uint64_t doc_id);
+  /// The locator reads in `txn` resolve node IDs through: for a snapshot
+  /// read of an MVCC collection, `*snap` pinned at the transaction's
+  /// snapshot; otherwise the current NodeID index.
+  NodeLocator* ReadLocator(Transaction* txn, SnapshotLocator* snap);
 
   Result<uint64_t> InsertTokensLocked(Transaction* txn, Slice tokens,
                                       uint64_t forced_doc_id)
       XDB_EXCLUDES(latch_);
   Status DeleteDocumentLocked(Transaction* txn, uint64_t doc_id)
       XDB_REQUIRES(latch_);
-  Status AddValueIndexEntries(uint64_t doc_id, Slice tokens,
-                              ValueIndex* only_index) XDB_REQUIRES(latch_);
-  Status RemoveValueIndexEntries(Transaction* txn, uint64_t doc_id)
-      XDB_REQUIRES(latch_);
-  /// Adds one document's structural entries to every (or one) structural
-  /// index, deriving (pre, post, level) from the freshly-inserted token
-  /// stream's canonical Dewey walk.
-  Status AddStructuralIndexEntries(uint64_t doc_id, Slice tokens,
-                                   StructuralIndex* only_index)
-      XDB_REQUIRES(latch_);
-  /// Re-derives entries from stored records (real node IDs, so documents
-  /// reshaped by Between()-allocated subtree inserts stay faithful) and
-  /// adds them to every (or one) structural index.
-  Status AddStructuralIndexEntriesFromStorage(uint64_t doc_id,
-                                              StructuralIndex* only_index)
-      XDB_REQUIRES(latch_);
-  /// Removes one document's structural entries (derived from stored
-  /// records) from every structural index.
-  Status RemoveStructuralIndexEntries(uint64_t doc_id) XDB_REQUIRES(latch_);
+  /// Hands one document to every secondary index (see IndexedDocument for
+  /// which event source each path uses).
+  Status AddToIndexes(IndexedDocument* doc) XDB_REQUIRES(latch_);
+  /// Removes one stored document's entries from every secondary index.
+  Status RemoveFromIndexes(uint64_t doc_id) XDB_REQUIRES(latch_);
+  /// One document as read back from its stored records.
+  IndexedDocument StoredDocument(uint64_t doc_id);
   Status MaintainValueIndexesForTextUpdate(uint64_t doc_id, Slice text_node_id,
                                            NodeLocator* locator,
                                            Slice old_text, Slice new_text)
@@ -287,8 +291,6 @@ class Collection {
       XDB_REQUIRES(latch_);
   Status DeleteSubtreeLocked(Transaction* txn, uint64_t doc_id, Slice node_id)
       XDB_REQUIRES(latch_);
-  /// Re-derives all value index entries of one document from stored data.
-  Status ReindexDocument(uint64_t doc_id) XDB_REQUIRES(latch_);
   /// RIDs of all records fully contained in the subtree at `node_id`,
   /// starting from proxies inside `record` (recursive across records).
   Status CollectSubtreeRecords(uint64_t doc_id, Slice node_id, Slice record,
@@ -356,20 +358,31 @@ class Collection {
                     const xpath::Path& prefix_pattern, NodeLocator* locator,
                     QueryResult* result) XDB_EXCLUDES(latch_);
 
-  /// Bodies of CreateValueIndex/DropValueIndex without the DDL mutex and
-  /// without logging — the form WAL replay and the replica apply path call
-  /// (replay must not take ddl_mu_: it already holds the WAL mutex, which a
-  /// client DDL acquires only AFTER ddl_mu_, so the reverse nesting would
-  /// deadlock; replay applies records in log order single-threaded and
-  /// needs no DDL serialization of its own).
-  Status ApplyCreateValueIndex(const ValueIndexDef& def) XDB_EXCLUDES(latch_);
-  Status ApplyDropValueIndex(const std::string& name) XDB_EXCLUDES(latch_);
-  /// Structural-index DDL bodies, same replay/log-separation contract as
-  /// the value-index pair above.
-  Status ApplyCreateStructuralIndex(const StructuralIndexDef& def)
+  /// The one secondary-index DDL path. ddl_mu_ spans the mutation AND its
+  /// WAL record, so a concurrent create and drop of one index can never log
+  /// in the opposite order of their application (replay and replicas
+  /// converge on the log order).
+  Status CreateIndex(const SecondaryIndexDef& def)
+      XDB_EXCLUDES(latch_) XDB_EXCLUDES(ddl_mu_);
+  Status DropIndex(IndexKind kind, const std::string& name)
+      XDB_EXCLUDES(latch_) XDB_EXCLUDES(ddl_mu_);
+  /// Bodies of CreateIndex/DropIndex without the DDL mutex and without
+  /// logging — the form WAL replay and the replica apply path call (replay
+  /// must not take ddl_mu_: it already holds the WAL mutex, which a client
+  /// DDL acquires only AFTER ddl_mu_, so the reverse nesting would deadlock;
+  /// replay applies records in log order single-threaded and needs no DDL
+  /// serialization of its own). A create whose backfill fails leaves no
+  /// trace: the index is registered only once it is complete.
+  Status ApplyCreateIndex(const SecondaryIndexDef& def) XDB_EXCLUDES(latch_);
+  Status ApplyDropIndex(IndexKind kind, const std::string& name)
       XDB_EXCLUDES(latch_);
-  Status ApplyDropStructuralIndex(const std::string& name)
-      XDB_EXCLUDES(latch_);
+  /// Builds the buffer pool, the record manager and every index over
+  /// space_: the DocID, NodeID and (MVCC) version trees and every secondary
+  /// index that meta_ lists. A tree is created when `create` is set or its
+  /// root is unset, otherwise opened at its root; either way the root is
+  /// recorded back into meta_. Shared by Engine::OpenCollection and
+  /// RebuildStorage.
+  Status OpenStorage(bool create);
 
   /// kCorruption when the collection is quarantined; call at the top of every
   /// public data operation.
@@ -389,8 +402,8 @@ class Collection {
                         std::set<uint64_t>* lost_ids) XDB_EXCLUDES(latch_);
 
   /// Resets the table space and recreates every storage component (records,
-  /// trees, indexes) empty, updating meta_ roots. Destroys components
-  /// top-down so nothing flushes into the reset space.
+  /// trees, indexes) empty through OpenStorage, updating meta_ roots.
+  /// Destroys components top-down so nothing flushes into the reset space.
   Status RebuildStorage() XDB_EXCLUDES(latch_);
 
   /// ListDocIds without the repair guard; callers hold latch_ (any mode).
@@ -412,18 +425,14 @@ class Collection {
   std::unique_ptr<BTree> versioned_tree_;
   std::unique_ptr<NodeIdIndex> node_index_;
   std::unique_ptr<VersionManager> versions_;
-  struct OwnedValueIndex {
+  struct OwnedIndex {
     std::unique_ptr<BTree> tree;
-    std::unique_ptr<ValueIndex> index;
+    std::unique_ptr<SecondaryIndex> index;
   };
-  std::vector<OwnedValueIndex> value_indexes_;
-  struct OwnedStructuralIndex {
-    std::unique_ptr<BTree> tree;
-    std::unique_ptr<StructuralIndex> index;
-  };
-  std::vector<OwnedStructuralIndex> structural_indexes_;
+  // Value and structural indexes, each kind in creation order.
+  std::vector<OwnedIndex> indexes_;
   // Short-duration structure latch over the storage components above
-  // (records_, trees, node_index_, value_indexes_). Writers (document
+  // (records_, trees, node_index_, indexes_). Writers (document
   // insert/delete, subtree edits, index creation, rebuild) hold it
   // exclusively; readers (query evaluation, serialization, doc listing)
   // hold it shared. The components themselves are not GUARDED_BY so tests
@@ -435,12 +444,12 @@ class Collection {
   // Doc id allocation (meta_.next_doc_id). Leaf lock: nothing else is
   // acquired while it is held.
   Mutex docid_mu_{LockRank::kCollectionDocId};
-  // Serializes client value-index DDL (create/drop) TOGETHER WITH its WAL
+  // Serializes client index DDL (create/drop) TOGETHER WITH its WAL
   // append: held across both the latched mutation and the log record, so
   // concurrent create+drop of the same index can never log in the opposite
   // order of their application — an inversion crash replay or a replica
   // would converge to the wrong final state from. Ordered before latch_ and
-  // before the WAL mutex; WAL replay never takes it (see the Apply* pair).
+  // before the WAL mutex; WAL replay never takes it (see ApplyCreateIndex).
   Mutex ddl_mu_{LockRank::kCollectionDdl};
 
   // Collected statistics (doc/node counts, per-index sketches, the stats
@@ -450,7 +459,7 @@ class Collection {
   query::CollectionStats stats_;
   // Compiled-plan cache. Its internal mutex is a leaf like stats_'s.
   query::PlanCache plan_cache_;
-  // Bumped (under the exclusive latch_) whenever the set of live ValueIndex
+  // Bumped (under the exclusive latch_) whenever the set of live index
   // objects changes: index create/drop and storage rebuild. Planning holds
   // the shared latch across every ValueIndex dereference it makes
   // (CompileForExecution), and compiled plans record this version so the

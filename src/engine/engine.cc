@@ -288,62 +288,7 @@ Result<std::unique_ptr<Collection>> Engine::OpenCollection(
       XDB_ASSIGN_OR_RETURN(coll->space_, TableSpace::Open(path, ts_options));
     }
     coll->space_->set_event_log(&events_);
-    coll->buffer_ = std::make_unique<BufferManager>(
-        coll->space_.get(), options.buffer_pages, coll->buffer_shards_);
-    coll->buffer_->set_event_log(&events_);
-    coll->buffer_->set_wait_sink(&wait_sink_);
-    coll->buffer_->set_lsn_source(
-        [this] { return wal_ != nullptr ? wal_->size() : 0; });
-    coll->records_ = std::make_unique<RecordManager>(coll->buffer_.get());
-    if (!create) XDB_RETURN_NOT_OK(coll->records_->Recover());
-
-    auto open_tree = [&](PageId root) -> Result<std::unique_ptr<BTree>> {
-      if (create || root == kInvalidPageId)
-        return BTree::Create(coll->buffer_.get());
-      return BTree::Open(coll->buffer_.get(), root);
-    };
-    XDB_ASSIGN_OR_RETURN(coll->docid_tree_, open_tree(meta.docid_index_root));
-    XDB_ASSIGN_OR_RETURN(coll->nodeid_tree_, open_tree(meta.nodeid_index_root));
-    coll->meta_.docid_index_root = coll->docid_tree_->root();
-    coll->meta_.nodeid_index_root = coll->nodeid_tree_->root();
-    coll->node_index_ =
-        std::make_unique<NodeIdIndex>(coll->nodeid_tree_.get());
-
-    if (meta.mvcc_enabled) {
-      XDB_ASSIGN_OR_RETURN(coll->versioned_tree_,
-                           open_tree(meta.versioned_index_root));
-      coll->meta_.versioned_index_root = coll->versioned_tree_->root();
-      coll->versions_ =
-          std::make_unique<VersionManager>(coll->versioned_tree_.get());
-      coll->versions_->InitCounters(meta.last_version);
-    }
-
-    for (const ValueIndexMeta& vi : meta.value_indexes) {
-      XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree, open_tree(vi.root));
-      auto index = std::make_unique<ValueIndex>(vi.def, tree.get());
-      // ListenerFor (not NoteIndexCreated): open-time wiring of indexes the
-      // persisted stats epoch already accounts for must not bump it.
-      index->set_stats_listener(coll->stats_.ListenerFor(vi.def.name));
-      coll->value_indexes_.push_back(
-          Collection::OwnedValueIndex{std::move(tree), std::move(index)});
-    }
-    for (size_t i = 0; i < coll->value_indexes_.size(); i++)
-      coll->meta_.value_indexes[i].root = coll->value_indexes_[i].tree->root();
-
-    for (const StructuralIndexMeta& si : meta.structural_indexes) {
-      XDB_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree, open_tree(si.root));
-      auto index = std::make_unique<StructuralIndex>(si.def, tree.get());
-      // StructuralListenerFor, not NoteStructuralIndexCreated: same
-      // no-epoch-bump rule as the value indexes above.
-      index->set_stats_listener(
-          coll->stats_.StructuralListenerFor(si.def.name));
-      coll->structural_indexes_.push_back(
-          Collection::OwnedStructuralIndex{std::move(tree), std::move(index)});
-    }
-    for (size_t i = 0; i < coll->structural_indexes_.size(); i++)
-      coll->meta_.structural_indexes[i].root =
-          coll->structural_indexes_[i].tree->root();
-    return Status::OK();
+    return coll->OpenStorage(create);
   }();
   if (!st.ok()) {
     if (!create && (st.IsCorruption() || st.IsIOError())) {
@@ -635,44 +580,28 @@ Status Engine::LogDropCollection(const std::string& name) {
   return AppendWal(WalRecordType::kDropCollection, payload);
 }
 
-Status Engine::LogCreateIndex(const std::string& collection,
-                              const ValueIndexDef& def) {
+Status Engine::LogIndexDdl(const std::string& collection, IndexKind kind,
+                           const std::string& name,
+                           const SecondaryIndexDef* created) {
   if (wal_ == nullptr || InReplay()) return Status::OK();
   std::string payload;
   PutLengthPrefixed(&payload, collection);
-  PutLengthPrefixed(&payload, def.name);
-  PutLengthPrefixed(&payload, def.path);
-  payload.push_back(static_cast<char>(def.type));
-  PutFixed32(&payload, def.max_string_len);
-  return AppendWal(WalRecordType::kCreateValueIndex, payload);
-}
-
-Status Engine::LogDropIndex(const std::string& collection,
-                            const std::string& index_name) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutLengthPrefixed(&payload, index_name);
-  return AppendWal(WalRecordType::kDropValueIndex, payload);
-}
-
-Status Engine::LogCreateStructuralIndex(const std::string& collection,
-                                        const StructuralIndexDef& def) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutLengthPrefixed(&payload, def.name);
-  PutLengthPrefixed(&payload, def.element_name);
-  return AppendWal(WalRecordType::kCreateStructuralIndex, payload);
-}
-
-Status Engine::LogDropStructuralIndex(const std::string& collection,
-                                      const std::string& index_name) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutLengthPrefixed(&payload, index_name);
-  return AppendWal(WalRecordType::kDropStructuralIndex, payload);
+  PutLengthPrefixed(&payload, name);
+  WalRecordType type;
+  if (created == nullptr) {
+    type = kind == IndexKind::kValue ? WalRecordType::kDropValueIndex
+                                     : WalRecordType::kDropStructuralIndex;
+  } else if (const auto* vdef = std::get_if<ValueIndexDef>(created)) {
+    PutLengthPrefixed(&payload, vdef->path);
+    payload.push_back(static_cast<char>(vdef->type));
+    PutFixed32(&payload, vdef->max_string_len);
+    type = WalRecordType::kCreateValueIndex;
+  } else {
+    PutLengthPrefixed(&payload,
+                      std::get<StructuralIndexDef>(*created).element_name);
+    type = WalRecordType::kCreateStructuralIndex;
+  }
+  return AppendWal(type, payload);
 }
 
 Status Engine::LogRegisterSchema(const std::string& name, Slice binary) {
@@ -748,67 +677,43 @@ Status Engine::ApplyWalRecordLocked(WalRecordType type, Slice payload,
         if (st.IsNotFound()) return Status::OK();  // already gone
         return st;
       }
-      case WalRecordType::kCreateValueIndex: {
-        Slice cname;
-        ValueIndexDef def;
-        Slice iname, ipath;
+      case WalRecordType::kCreateValueIndex:
+      case WalRecordType::kDropValueIndex:
+      case WalRecordType::kCreateStructuralIndex:
+      case WalRecordType::kDropStructuralIndex: {
+        const IndexKind kind = type == WalRecordType::kCreateValueIndex ||
+                                       type == WalRecordType::kDropValueIndex
+                                   ? IndexKind::kValue
+                                   : IndexKind::kStructural;
+        const bool create = type == WalRecordType::kCreateValueIndex ||
+                            type == WalRecordType::kCreateStructuralIndex;
+        // [collection][name], and for a create the definition's tail:
+        // [path][type][max_len] (value) or [element_name] (structural).
+        Slice cname, iname, tail;
         if (!GetLengthPrefixed(&payload, &cname) ||
             !GetLengthPrefixed(&payload, &iname) ||
-            !GetLengthPrefixed(&payload, &ipath) || payload.size() < 5)
-          return Status::Corruption("bad wal create-index record");
-        def.name = iname.ToString();
-        def.path = ipath.ToString();
-        def.type = static_cast<ValueType>(payload[0]);
-        def.max_string_len = DecodeFixed32(payload.data() + 1);
+            (create && !GetLengthPrefixed(&payload, &tail)) ||
+            (create && kind == IndexKind::kValue && payload.size() < 5))
+          return Status::Corruption("bad wal index ddl record");
+        SecondaryIndexDef def =
+            StructuralIndexDef{iname.ToString(), tail.ToString()};
+        if (create && kind == IndexKind::kValue)
+          def = ValueIndexDef{iname.ToString(), tail.ToString(),
+                              static_cast<ValueType>(payload[0]),
+                              DecodeFixed32(payload.data() + 1)};
         auto cit = collections_.find(cname.ToString());
         if (cit == collections_.end()) return Status::OK();  // dropped later
         Collection* c = cit->second.get();
         if (c->needs_repair()) return Status::OK();
-        if (c->FindValueIndex(def.name) != nullptr) return Status::OK();
-        // The Apply* form: no ddl_mu_ (crash replay holds the WAL mutex,
+        // The Apply* forms: no ddl_mu_ (crash replay holds the WAL mutex,
         // which client DDL takes after ddl_mu_ — nesting the other way
         // would deadlock) and no re-logging.
-        return c->ApplyCreateValueIndex(def);
-      }
-      case WalRecordType::kDropValueIndex: {
-        Slice cname, iname;
-        if (!GetLengthPrefixed(&payload, &cname) ||
-            !GetLengthPrefixed(&payload, &iname))
-          return Status::Corruption("bad wal drop-index record");
-        auto cit = collections_.find(cname.ToString());
-        if (cit == collections_.end()) return Status::OK();
-        Collection* c = cit->second.get();
-        if (c->needs_repair()) return Status::OK();
-        Status st = c->ApplyDropValueIndex(iname.ToString());
-        if (st.IsNotFound()) return Status::OK();
-        return st;
-      }
-      case WalRecordType::kCreateStructuralIndex: {
-        Slice cname, iname, ename;
-        if (!GetLengthPrefixed(&payload, &cname) ||
-            !GetLengthPrefixed(&payload, &iname) ||
-            !GetLengthPrefixed(&payload, &ename))
-          return Status::Corruption("bad wal create-structural record");
-        StructuralIndexDef def;
-        def.name = iname.ToString();
-        def.element_name = ename.ToString();
-        auto cit = collections_.find(cname.ToString());
-        if (cit == collections_.end()) return Status::OK();  // dropped later
-        Collection* c = cit->second.get();
-        if (c->needs_repair()) return Status::OK();
-        if (c->FindStructuralIndex(def.name) != nullptr) return Status::OK();
-        return c->ApplyCreateStructuralIndex(def);
-      }
-      case WalRecordType::kDropStructuralIndex: {
-        Slice cname, iname;
-        if (!GetLengthPrefixed(&payload, &cname) ||
-            !GetLengthPrefixed(&payload, &iname))
-          return Status::Corruption("bad wal drop-structural record");
-        auto cit = collections_.find(cname.ToString());
-        if (cit == collections_.end()) return Status::OK();
-        Collection* c = cit->second.get();
-        if (c->needs_repair()) return Status::OK();
-        Status st = c->ApplyDropStructuralIndex(iname.ToString());
+        if (create) {
+          if (c->FindIndex(kind, iname.ToString()) != nullptr)
+            return Status::OK();
+          return c->ApplyCreateIndex(def);
+        }
+        Status st = c->ApplyDropIndex(kind, iname.ToString());
         if (st.IsNotFound()) return Status::OK();
         return st;
       }

@@ -305,14 +305,11 @@ class Engine {
   Status LogCreateCollection(const std::string& name,
                              const CollectionOptions& options);
   Status LogDropCollection(const std::string& name);
-  Status LogCreateIndex(const std::string& collection,
-                        const ValueIndexDef& def);
-  Status LogDropIndex(const std::string& collection,
-                      const std::string& index_name);
-  Status LogCreateStructuralIndex(const std::string& collection,
-                                  const StructuralIndexDef& def);
-  Status LogDropStructuralIndex(const std::string& collection,
-                                const std::string& index_name);
+  /// Secondary-index DDL: a create of `created` when set, otherwise a drop
+  /// of (kind, name). The record type names kind and operation.
+  Status LogIndexDdl(const std::string& collection, IndexKind kind,
+                     const std::string& name,
+                     const SecondaryIndexDef* created);
   Status LogRegisterSchema(const std::string& name, Slice binary);
 
   /// Aggregates per-component stats into one snapshot; registered as a

@@ -78,25 +78,15 @@ Status DeriveStructuralEntries(XmlEventSource* source,
   return Status::OK();
 }
 
-Status StructuralIndex::AddEntries(const NameDictionary& dict, uint64_t doc_id,
-                                   const std::vector<StructuralEntry>& entries) {
-  std::string key, value;
-  for (const StructuralEntry& e : entries) {
-    XDB_ASSIGN_OR_RETURN(std::string local, dict.Name(e.name_id));
-    if (!CoversName(local)) continue;
-    key.clear();
-    value.clear();
-    EncodeStructuralKey(e.name_id, doc_id, e.pre, &key);
-    EncodeStructuralValue(e.post, e.level, Slice(e.node_id), &value);
-    XDB_RETURN_NOT_OK(tree_->Insert(key, value));
-    if (stats_ != nullptr) stats_->OnElementAdded(local, e.subtree_size);
-  }
-  return Status::OK();
+Status StructuralIndex::ChangeDocument(IndexedDocument* doc, bool add) {
+  XDB_ASSIGN_OR_RETURN(const std::vector<StructuralEntry>* entries,
+                       doc->StructuralEntries());
+  return ChangeEntries(doc->dict(), doc->doc_id(), *entries, add);
 }
 
-Status StructuralIndex::RemoveEntries(
+Status StructuralIndex::ChangeEntries(
     const NameDictionary& dict, uint64_t doc_id,
-    const std::vector<StructuralEntry>& entries) {
+    const std::vector<StructuralEntry>& entries, bool add) {
   std::string key, value;
   for (const StructuralEntry& e : entries) {
     XDB_ASSIGN_OR_RETURN(std::string local, dict.Name(e.name_id));
@@ -105,8 +95,13 @@ Status StructuralIndex::RemoveEntries(
     value.clear();
     EncodeStructuralKey(e.name_id, doc_id, e.pre, &key);
     EncodeStructuralValue(e.post, e.level, Slice(e.node_id), &value);
-    XDB_RETURN_NOT_OK(tree_->Delete(key, value));
-    if (stats_ != nullptr) stats_->OnElementRemoved(local, e.subtree_size);
+    if (add) {
+      XDB_RETURN_NOT_OK(tree_->Insert(key, value));
+      if (stats_ != nullptr) stats_->OnElementAdded(local, e.subtree_size);
+    } else {
+      XDB_RETURN_NOT_OK(tree_->Delete(key, value));
+      if (stats_ != nullptr) stats_->OnElementRemoved(local, e.subtree_size);
+    }
   }
   return Status::OK();
 }

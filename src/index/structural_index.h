@@ -36,6 +36,7 @@
 #include "btree/btree.h"
 #include "common/slice.h"
 #include "common/status.h"
+#include "index/secondary_index.h"
 #include "xml/name_dictionary.h"
 
 namespace xdb {
@@ -49,19 +50,6 @@ struct StructuralIndexDef {
   /// "optionally per-name" knob: a per-name index stays small and is only
   /// consulted for steps testing exactly that name).
   std::string element_name;
-};
-
-/// One element instance's structural facts, as derived from a document walk.
-struct StructuralEntry {
-  NameId name_id = kEmptyNameId;
-  uint32_t pre = 0;    // document-order (start-tag) number within the doc
-  uint32_t post = 0;   // completion-order (end-tag) number within the doc
-  uint32_t level = 0;  // element nesting depth (root element = 1)
-  /// Descendant element count (the interval width): pre numbers of the
-  /// subtree's elements are exactly (pre, pre + subtree_size]. Feeds the
-  /// stats span sketch; not persisted in the entry value.
-  uint32_t subtree_size = 0;
-  std::string node_id;  // absolute Dewey node ID
 };
 
 /// One hit from a structural probe: an element instance of the probed name.
@@ -94,13 +82,24 @@ class StructuralIndexStatsListener {
 Status DeriveStructuralEntries(XmlEventSource* source,
                                std::vector<StructuralEntry>* out);
 
-class StructuralIndex {
+class StructuralIndex : public SecondaryIndex {
  public:
   StructuralIndex(StructuralIndexDef def, BTree* tree)
       : def_(std::move(def)), tree_(tree) {}
 
   const StructuralIndexDef& def() const { return def_; }
-  BTree* tree() { return tree_; }
+  IndexKind kind() const override { return IndexKind::kStructural; }
+  const std::string& name() const override { return def_.name; }
+  BTree* tree() override { return tree_; }
+
+  /// Adds/removes the document's shared structural entries (derived once
+  /// per document, whichever structural index asks first).
+  Status AddDocument(IndexedDocument* doc) override {
+    return ChangeDocument(doc, /*add=*/true);
+  }
+  Status RemoveDocument(IndexedDocument* doc) override {
+    return ChangeDocument(doc, /*add=*/false);
+  }
 
   /// Installs (or clears, with nullptr) the statistics listener.
   void set_stats_listener(StructuralIndexStatsListener* listener) {
@@ -117,9 +116,13 @@ class StructuralIndex {
   /// names for the stats listener. Both are idempotent per entry (B+tree
   /// exact (key, value) insert/delete), matching WAL-replay semantics.
   Status AddEntries(const NameDictionary& dict, uint64_t doc_id,
-                    const std::vector<StructuralEntry>& entries);
+                    const std::vector<StructuralEntry>& entries) {
+    return ChangeEntries(dict, doc_id, entries, /*add=*/true);
+  }
   Status RemoveEntries(const NameDictionary& dict, uint64_t doc_id,
-                       const std::vector<StructuralEntry>& entries);
+                       const std::vector<StructuralEntry>& entries) {
+    return ChangeEntries(dict, doc_id, entries, /*add=*/false);
+  }
 
   /// Range-scans every instance of `name_id` across all documents, in
   /// (doc_id, pre) order — document order within each document.
@@ -129,6 +132,10 @@ class StructuralIndex {
   Result<uint64_t> CountEntries();
 
  private:
+  Status ChangeDocument(IndexedDocument* doc, bool add);
+  Status ChangeEntries(const NameDictionary& dict, uint64_t doc_id,
+                       const std::vector<StructuralEntry>& entries, bool add);
+
   StructuralIndexDef def_;
   BTree* tree_;
   StructuralIndexStatsListener* stats_ = nullptr;

@@ -1,8 +1,28 @@
 #include "index/value_index.h"
 
+#include "index/nodeid_index.h"
+#include "runtime/virtual_sax.h"
+#include "xpath/quickxscan.h"
+
 namespace xdb {
 
-Status ValueIndex::Add(Slice value, uint64_t doc_id, Slice node_id, Rid rid) {
+Status ValueIndex::ChangeDocument(IndexedDocument* doc, bool add) {
+  std::unique_ptr<XmlEventSource> source = doc->Events();
+  XDB_ASSIGN_OR_RETURN(
+      NodeSequence hits,
+      xpath::EvaluateXPath(def_.path, doc->dict(), source.get(), doc->doc_id(),
+                           /*want_values=*/true));
+  for (const ResultNode& hit : hits) {
+    XDB_ASSIGN_OR_RETURN(
+        Rid rid, doc->node_index()->Lookup(doc->doc_id(), Slice(hit.node_id)));
+    XDB_RETURN_NOT_OK(Change(Slice(hit.string_value), doc->doc_id(),
+                             Slice(hit.node_id), rid, add));
+  }
+  return Status::OK();
+}
+
+Status ValueIndex::Change(Slice value, uint64_t doc_id, Slice node_id, Rid rid,
+                          bool add) {
   std::string key;
   Status st = EncodeTypedKey(def_.type, value, def_.max_string_len, &key);
   if (!st.ok()) {
@@ -12,23 +32,13 @@ Status ValueIndex::Add(Slice value, uint64_t doc_id, Slice node_id, Rid rid) {
   }
   std::string posting;
   EncodePosting(doc_id, node_id, rid.Pack(), &posting);
-  XDB_RETURN_NOT_OK(tree_->Insert(key, posting));
-  if (stats_ != nullptr) stats_->OnEntryAdded(key);
-  return Status::OK();
-}
-
-Status ValueIndex::Remove(Slice value, uint64_t doc_id, Slice node_id,
-                          Rid rid) {
-  std::string key;
-  Status st = EncodeTypedKey(def_.type, value, def_.max_string_len, &key);
-  if (!st.ok()) {
-    if (st.code() == Status::Code::kInvalidArgument) return Status::OK();
-    return st;
+  if (add) {
+    XDB_RETURN_NOT_OK(tree_->Insert(key, posting));
+    if (stats_ != nullptr) stats_->OnEntryAdded(key);
+  } else {
+    XDB_RETURN_NOT_OK(tree_->Delete(key, posting));
+    if (stats_ != nullptr) stats_->OnEntryRemoved(key);
   }
-  std::string posting;
-  EncodePosting(doc_id, node_id, rid.Pack(), &posting);
-  XDB_RETURN_NOT_OK(tree_->Delete(key, posting));
-  if (stats_ != nullptr) stats_->OnEntryRemoved(key);
   return Status::OK();
 }
 

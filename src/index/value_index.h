@@ -17,6 +17,7 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "index/key_codec.h"
+#include "index/secondary_index.h"
 #include "storage/page.h"
 
 namespace xdb {
@@ -55,13 +56,25 @@ class ValueIndexStatsListener {
   virtual void OnEntryRemoved(Slice encoded_key) = 0;
 };
 
-class ValueIndex {
+class ValueIndex : public SecondaryIndex {
  public:
   ValueIndex(ValueIndexDef def, BTree* tree)
       : def_(std::move(def)), tree_(tree) {}
 
   const ValueIndexDef& def() const { return def_; }
-  BTree* tree() { return tree_; }
+  IndexKind kind() const override { return IndexKind::kValue; }
+  const std::string& name() const override { return def_.name; }
+  BTree* tree() override { return tree_; }
+
+  /// Evaluates the index path over the document's events and adds (removes)
+  /// one entry per hit, keyed by the hit's string value. "Index keys ... are
+  /// generated per record": each hit's RID comes from the NodeID index.
+  Status AddDocument(IndexedDocument* doc) override {
+    return ChangeDocument(doc, /*add=*/true);
+  }
+  Status RemoveDocument(IndexedDocument* doc) override {
+    return ChangeDocument(doc, /*add=*/false);
+  }
 
   /// Installs (or clears, with nullptr) the statistics listener.
   void set_stats_listener(ValueIndexStatsListener* listener) {
@@ -70,9 +83,12 @@ class ValueIndex {
 
   /// Adds an entry for a node whose string value is `value`. Values that do
   /// not cast to the index type produce no entry (returns OK).
-  Status Add(Slice value, uint64_t doc_id, Slice node_id, Rid rid);
-
-  Status Remove(Slice value, uint64_t doc_id, Slice node_id, Rid rid);
+  Status Add(Slice value, uint64_t doc_id, Slice node_id, Rid rid) {
+    return Change(value, doc_id, node_id, rid, /*add=*/true);
+  }
+  Status Remove(Slice value, uint64_t doc_id, Slice node_id, Rid rid) {
+    return Change(value, doc_id, node_id, rid, /*add=*/false);
+  }
 
   /// Encodes a query literal with this index's type.
   Status EncodeKey(Slice value, std::string* out) const {
@@ -88,6 +104,10 @@ class ValueIndex {
   Status ScanEqual(Slice value, std::vector<Posting>* out);
 
  private:
+  Status ChangeDocument(IndexedDocument* doc, bool add);
+  Status Change(Slice value, uint64_t doc_id, Slice node_id, Rid rid,
+                bool add);
+
   ValueIndexDef def_;
   BTree* tree_;
   ValueIndexStatsListener* stats_ = nullptr;

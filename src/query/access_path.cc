@@ -1,6 +1,7 @@
 #include "query/access_path.h"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <set>
 
@@ -310,27 +311,23 @@ Status StructuralAnchorJoin(const std::vector<Posting>& values,
   return Status::OK();
 }
 
+std::string CandidatePredicate::LiteralText() const {
+  if (!literal_is_number) return string;
+  // Fixed notation never exceeds 330 characters for a finite double.
+  char buf[400];
+  const double v = number == 0 ? 0.0 : number;  // no "-0"
+  auto res = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed);
+  return std::string(buf, res.ptr);
+}
+
 Status ProbeBounds(const ValueIndex& index, const CandidatePredicate& pred,
                    std::optional<KeyBound>* lo, std::optional<KeyBound>* hi,
                    bool* not_equal) {
   lo->reset();
   hi->reset();
   *not_equal = false;
-  std::string literal =
-      pred.literal_is_number
-          ? [&] {
-              // Render the number the way values print (integral stays
-              // integral so string/decimal indexes line up with doubles).
-              double v = pred.number;
-              if (v == static_cast<int64_t>(v))
-                return std::to_string(static_cast<int64_t>(v));
-              char buf[32];
-              std::snprintf(buf, sizeof(buf), "%.17g", v);
-              return std::string(buf);
-            }()
-          : pred.string;
   std::string key;
-  Status st = index.EncodeKey(literal, &key);
+  Status st = index.EncodeKey(pred.LiteralText(), &key);
   if (!st.ok()) return st;
   switch (pred.op) {
     case xpath::CompOp::kEq:

@@ -31,6 +31,11 @@ struct CandidatePredicate {
   bool literal_is_number = false;
   double number = 0;
   std::string string;
+  /// The literal as index probes encode it. A number renders as the
+  /// shortest fixed-notation decimal that reads back as the same double
+  /// (20.3, not 20.300000000000001 or 20.300000), so string, decimal and
+  /// double keys all see the value the query wrote.
+  std::string LiteralText() const;
   /// Number of levels between the value node and the anchor node when the
   /// branch uses only child/attribute steps; -1 when unknown (descendant
   /// steps), which forbids node-level anchoring.

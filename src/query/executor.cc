@@ -24,10 +24,7 @@ PlannedProbe MatchIndexes(const CandidatePredicate& cand,
     if (match == xpath::IndexMatch::kNone) continue;
     // Type check: the literal must encode.
     std::string probe_key;
-    std::string literal = cand.literal_is_number
-                              ? std::to_string(cand.number)
-                              : cand.string;
-    if (!idx->EncodeKey(literal, &probe_key).ok()) continue;
+    if (!idx->EncodeKey(cand.LiteralText(), &probe_key).ok()) continue;
     if (best.index == nullptr ||
         (best.match == xpath::IndexMatch::kContains &&
          match == xpath::IndexMatch::kExact)) {

@@ -159,55 +159,28 @@ void CollectionStats::NoteDocumentDeleted() {
 
 void CollectionStats::NoteDocumentMutated() { Bump(); }
 
-ValueIndexStatsListener* CollectionStats::ListenerFor(
-    const std::string& name) {
+void CollectionStats::AttachIndex(SecondaryIndex* index, bool created) {
   MutexLock lock(mu_);
-  auto it = indexes_.find(name);
-  if (it == indexes_.end())
-    it = indexes_.emplace(name, std::make_unique<PerIndex>(this)).first;
-  return it->second.get();
+  if (index->kind() == IndexKind::kValue) {
+    std::unique_ptr<PerIndex>& slot = indexes_[index->name()];
+    if (slot == nullptr) slot = std::make_unique<PerIndex>(this);
+    static_cast<ValueIndex*>(index)->set_stats_listener(slot.get());
+  } else {
+    std::unique_ptr<PerStructural>& slot = structural_[index->name()];
+    if (slot == nullptr) slot = std::make_unique<PerStructural>(this);
+    static_cast<StructuralIndex*>(index)->set_stats_listener(slot.get());
+  }
+  if (created) Bump();
 }
 
-ValueIndexStatsListener* CollectionStats::NoteIndexCreated(
-    const std::string& name) {
+void CollectionStats::NoteIndexDropped(IndexKind kind,
+                                       const std::string& name) {
   MutexLock lock(mu_);
-  auto it = indexes_.find(name);
-  if (it == indexes_.end())
-    it = indexes_.emplace(name, std::make_unique<PerIndex>(this)).first;
-  Bump();
-  return it->second.get();
-}
-
-void CollectionStats::NoteIndexDropped(const std::string& name) {
-  MutexLock lock(mu_);
-  indexes_.erase(name);
-  Bump();
-}
-
-StructuralIndexStatsListener* CollectionStats::StructuralListenerFor(
-    const std::string& name) {
-  MutexLock lock(mu_);
-  auto it = structural_.find(name);
-  if (it == structural_.end())
-    it = structural_.emplace(name, std::make_unique<PerStructural>(this))
-             .first;
-  return it->second.get();
-}
-
-StructuralIndexStatsListener* CollectionStats::NoteStructuralIndexCreated(
-    const std::string& name) {
-  MutexLock lock(mu_);
-  auto it = structural_.find(name);
-  if (it == structural_.end())
-    it = structural_.emplace(name, std::make_unique<PerStructural>(this))
-             .first;
-  Bump();
-  return it->second.get();
-}
-
-void CollectionStats::NoteStructuralIndexDropped(const std::string& name) {
-  MutexLock lock(mu_);
-  structural_.erase(name);
+  if (kind == IndexKind::kValue) {
+    indexes_.erase(name);
+  } else {
+    structural_.erase(name);
+  }
   Bump();
 }
 

@@ -145,23 +145,13 @@ class CollectionStats {
   void NoteDocumentMutated() XDB_EXCLUDES(mu_);
 
   // --- index lifecycle (exclusive collection latch held) ---
-  /// Registers the index and returns the listener to install on it. The
-  /// pointer stays valid until NoteIndexDropped / destruction.
-  ValueIndexStatsListener* NoteIndexCreated(const std::string& name)
-      XDB_EXCLUDES(mu_);
-  void NoteIndexDropped(const std::string& name) XDB_EXCLUDES(mu_);
-  /// Like NoteIndexCreated but without the epoch bump — open-time wiring of
-  /// indexes already reflected in the persisted epoch.
-  ValueIndexStatsListener* ListenerFor(const std::string& name)
-      XDB_EXCLUDES(mu_);
-
-  // --- structural index lifecycle (exclusive collection latch held) ---
-  /// Same contract as the value-index trio, for structural indexes: the
-  /// returned listener feeds the per-name count + span sketch.
-  StructuralIndexStatsListener* NoteStructuralIndexCreated(
-      const std::string& name) XDB_EXCLUDES(mu_);
-  void NoteStructuralIndexDropped(const std::string& name) XDB_EXCLUDES(mu_);
-  StructuralIndexStatsListener* StructuralListenerFor(const std::string& name)
+  /// Registers a value or structural index and installs the listener that
+  /// feeds its entry adds/removes back here (valid until NoteIndexDropped /
+  /// destruction). `created` bumps the epoch, invalidating every cached plan
+  /// priced without the index; open-time wiring of indexes already
+  /// reflected in the persisted epoch passes false.
+  void AttachIndex(SecondaryIndex* index, bool created) XDB_EXCLUDES(mu_);
+  void NoteIndexDropped(IndexKind kind, const std::string& name)
       XDB_EXCLUDES(mu_);
 
   // --- epoch / validity ---

@@ -392,6 +392,65 @@ class SubtreeOpsTest : public ::testing::Test {
     return coll_->GetDocumentText(nullptr, doc).value();
   }
 
+  // Mid-sibling inserts give the new items Between() IDs and leave every
+  // other item's stored ID in place. A string value index on the item path,
+  // created before the edits (maintained through them) or after them
+  // (backfilled), must post exactly the stored IDs: every plan finds every
+  // inserted and shifted value, and deleting the document removes them all.
+  void CheckMidSiblingEdits(bool index_first) {
+    const ValueIndexDef def{"items", "/list/item", ValueType::kString, 64};
+    if (index_first) {
+      ASSERT_TRUE(coll_->CreateValueIndex(def).ok());
+    }
+    uint64_t doc = coll_->InsertDocument(
+                            nullptr,
+                            "<list><item>a</item><item>c</item>"
+                            "<item>e</item></list>")
+                       .value();
+    std::string list_id = nodeid::ChildId(1);
+    auto items = coll_->Query(nullptr, "/list/item").MoveValue();
+    ASSERT_EQ(items.nodes.size(), 3u);
+    auto b = coll_->InsertSubtree(nullptr, doc, list_id,
+                                  items.nodes[0].node_id, "<item>b</item>");
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    auto d = coll_->InsertSubtree(nullptr, doc, list_id,
+                                  items.nodes[1].node_id, "<item>d</item>");
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    if (!index_first) {
+      Status st = coll_->CreateValueIndex(def);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+    EXPECT_EQ(Text(doc),
+              "<list><item>a</item><item>b</item><item>c</item>"
+              "<item>d</item><item>e</item></list>");
+    for (const char* v : {"a", "b", "c", "d", "e"}) {
+      const std::string q = std::string("/list/item[. = \"") + v + "\"]";
+      std::string scan_ids;
+      for (ForceMethod m : {ForceMethod::kScan, ForceMethod::kDocIdList,
+                            ForceMethod::kNodeIdList}) {
+        QueryOptions o;
+        o.force = m;
+        auto res = coll_->Query(nullptr, q, o);
+        ASSERT_TRUE(res.ok()) << q << ": " << res.status().ToString();
+        EXPECT_EQ(res.value().nodes.size(), 1u)
+            << q << " force=" << static_cast<int>(m);
+        if (m == ForceMethod::kScan) {
+          scan_ids = RenderIds(res.value().nodes);
+        } else {
+          EXPECT_EQ(RenderIds(res.value().nodes), scan_ids)
+              << q << " force=" << static_cast<int>(m);
+        }
+      }
+    }
+    Status del = coll_->DeleteDocument(nullptr, doc);
+    ASSERT_TRUE(del.ok()) << del.ToString();
+    std::vector<Posting> left;
+    ASSERT_TRUE(coll_->FindValueIndex("items")
+                    ->Scan(std::nullopt, std::nullopt, &left)
+                    .ok());
+    EXPECT_TRUE(left.empty()) << left.size() << " postings left";
+  }
+
   std::unique_ptr<Engine> engine_;
   Collection* coll_ = nullptr;
 };
@@ -479,6 +538,38 @@ TEST_F(SubtreeOpsTest, ValueIndexesFollowSubtreeChanges) {
                   .MoveValue()
                   .nodes.empty());
   EXPECT_EQ(Text(doc), "<shop><p><price>20</price></p></shop>");
+}
+
+TEST_F(SubtreeOpsTest, MidSiblingInsertsUnderExistingValueIndex) {
+  CheckMidSiblingEdits(/*index_first=*/true);
+}
+
+TEST_F(SubtreeOpsTest, ValueIndexBackfilledAfterMidSiblingInserts) {
+  CheckMidSiblingEdits(/*index_first=*/false);
+}
+
+// Numeric literals reach every index probe through one rendering: the
+// shortest decimal text that reads back as the same double. `20.3` must
+// not become `20.300000000000001` (a decimal key above the stored 20.30)
+// or `20.300000` (a different string key), so all three plans agree.
+TEST(EngineTest, DecimalIndexProbesMatchScanForFractionalLiterals) {
+  auto engine = MemEngine();
+  Collection* coll = engine->CreateCollection("docs").value();
+  ASSERT_TRUE(
+      coll->CreateValueIndex({"p", "/r/p", ValueType::kDecimal, 64}).ok());
+  ASSERT_TRUE(coll->InsertDocument(nullptr, "<r><p>20.30</p></r>").ok());
+  ASSERT_TRUE(coll->InsertDocument(nullptr, "<r><p>7.5</p></r>").ok());
+  for (const char* q : {"/r[p = 20.30]", "/r[p = 20.3]", "/r[p >= 20.3]"}) {
+    for (ForceMethod m : {ForceMethod::kScan, ForceMethod::kDocIdList,
+                          ForceMethod::kNodeIdList}) {
+      QueryOptions o;
+      o.force = m;
+      auto res = coll->Query(nullptr, q, o);
+      ASSERT_TRUE(res.ok()) << q << ": " << res.status().ToString();
+      EXPECT_EQ(res.value().nodes.size(), 1u)
+          << q << " force=" << static_cast<int>(m);
+    }
+  }
 }
 
 TEST_F(SubtreeOpsTest, MultiRecordSubtreeInsertAndDelete) {

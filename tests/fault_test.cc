@@ -851,6 +851,69 @@ TEST_F(EngineFaultTest, StructuralIndexDdlSurvivesCrashReplay) {
   EXPECT_EQ(res.value().nodes.size(), 2u);
 }
 
+// An index create whose backfill fails part-way leaves nothing behind, for
+// either kind: no index to find, no statistics entry, no catalog entry after
+// a checkpoint and reopen, and the same name creates cleanly afterwards. A
+// small buffer pool makes the backfill read cold pages; the armed read fault
+// fails the first of them.
+TEST_F(EngineFaultTest, FailedBackfillLeavesNoIndexBehind) {
+  const ValueIndexDef vdef{"k", "/doc/k", ValueType::kString, 64};
+  const StructuralIndexDef sdef{"s", "k"};
+  const std::string pad(300, 'x');
+  {
+    auto engine = Engine::Open(FileOptions()).MoveValue();
+    CollectionOptions copts;
+    copts.buffer_pages = 16;
+    Collection* coll = engine->CreateCollection("docs", copts).value();
+    for (int i = 0; i < 200; i++) {
+      ASSERT_TRUE(coll->InsertDocument(nullptr, "<doc><k>k" +
+                                                    std::to_string(i) +
+                                                    "</k><pad>" + pad +
+                                                    "</pad></doc>")
+                      .ok());
+    }
+    ASSERT_TRUE(engine->Checkpoint().ok());
+    for (bool value_kind : {true, false}) {
+      SCOPED_TRACE(value_kind ? "value index" : "structural index");
+      ScopedFaultInjector fi;
+      fi->Arm(FaultPoint::kTableSpaceRead, 1, FaultKind::kError);
+      Status st = value_kind ? coll->CreateValueIndex(vdef)
+                             : coll->CreateStructuralIndex(sdef);
+      EXPECT_FALSE(st.ok());
+      EXPECT_TRUE(fi->fired());
+    }
+    EXPECT_EQ(coll->FindValueIndex("k"), nullptr);
+    EXPECT_EQ(coll->FindStructuralIndex("s"), nullptr);
+    query::CollectionStatsSnapshot snap = coll->stats()->Snapshot();
+    EXPECT_EQ(snap.indexes.count("k"), 0u);
+    EXPECT_EQ(snap.structural.count("s"), 0u);
+    QueryOptions o;
+    o.explain = true;
+    auto res = coll->Query(nullptr, "/doc[k = \"k7\"]", o);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_EQ(res.value().nodes.size(), 1u);
+    EXPECT_EQ(res.value().stats.method, query::AccessMethod::kFullScan);
+    ASSERT_TRUE(engine->Checkpoint().ok());
+  }
+  auto engine = Engine::Open(FileOptions()).MoveValue();
+  Collection* coll = engine->GetCollection("docs").value();
+  EXPECT_TRUE(coll->meta().value_indexes.empty());
+  EXPECT_TRUE(coll->meta().structural_indexes.empty());
+  EXPECT_EQ(coll->FindValueIndex("k"), nullptr);
+  EXPECT_EQ(coll->FindStructuralIndex("s"), nullptr);
+  ASSERT_TRUE(coll->CreateValueIndex(vdef).ok());
+  ASSERT_TRUE(coll->CreateStructuralIndex(sdef).ok());
+  EXPECT_EQ(coll->FindStructuralIndex("s")->CountEntries().value(), 200u);
+  for (ForceMethod m : {ForceMethod::kScan, ForceMethod::kDocIdList,
+                        ForceMethod::kStructural}) {
+    QueryOptions o;
+    o.force = m;
+    auto res = coll->Query(nullptr, "/doc[k = \"k7\"]", o);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_EQ(res.value().nodes.size(), 1u) << static_cast<int>(m);
+  }
+}
+
 // A fresh collection checkpointed before any write carries stats epoch 0 —
 // a valid empty state, not a degradation.
 TEST_F(EngineFaultTest, FreshCollectionEpochZeroStaysValidAcrossReopen) {

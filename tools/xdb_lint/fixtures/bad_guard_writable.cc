@@ -23,9 +23,9 @@ Status Engine::RegisterSchema(const std::string& name, Slice text) {  // LINT-EX
   return Status::OK();
 }
 
-// Structural-index replay variant that installs before checking the guard:
-// a replica would mutate local state before discovering it is read-only.
-Status Collection::ApplyDropStructuralIndex(const std::string& name) {
+// Index-drop replay variant that installs before checking the guard: a
+// replica would mutate local state before discovering it is read-only.
+Status Collection::ApplyDropIndex(IndexKind kind, const std::string& name) {
   WriterMutexLock latch(latch_);  // LINT-EXPECT[guard-writable]
   Remove(name);
   XDB_RETURN_NOT_OK(GuardWrite());

@@ -3,24 +3,16 @@
 
 namespace xdb {
 
-Status Collection::ApplyCreateValueIndex(const ValueIndexDef& def) {
+Status Collection::ApplyCreateIndex(const SecondaryIndexDef& def) {
   XDB_RETURN_NOT_OK(GuardWrite());
   MutexLock ddl(ddl_mu_);  // LINT-EXPECT[replay-apply]
   return Install(def);
 }
 
-Status Collection::ApplyDropValueIndex(const std::string& name) {
+Status Collection::ApplyDropIndex(IndexKind kind, const std::string& name) {
   XDB_RETURN_NOT_OK(GuardWrite());
-  XDB_RETURN_NOT_OK(engine_->LogDropIndex(meta_.name, name));  // LINT-EXPECT[replay-apply]
+  XDB_RETURN_NOT_OK(engine_->LogIndexDdl(meta_.name, kind, name, nullptr));  // LINT-EXPECT[replay-apply]
   return AppendWal(name);  // LINT-EXPECT[replay-apply]
-}
-
-// A structural-index replay variant that re-logs the DDL: replay would
-// append a second record for an operation already in the WAL.
-Status Collection::ApplyCreateStructuralIndex(const StructuralIndexDef& def) {
-  XDB_RETURN_NOT_OK(GuardWrite());
-  XDB_RETURN_NOT_OK(Install(def));
-  return engine_->LogCreateStructuralIndex(meta_.name, def);  // LINT-EXPECT[replay-apply]
 }
 
 }  // namespace xdb

@@ -23,16 +23,15 @@ Status Engine::CreateCollection(const std::string& name) {
   return catalog_.Create(name);
 }
 
-// Structural-index DDL mirrors value-index DDL: the logging entry point
-// delegates to its Apply* variant (which guards first itself) before
-// writing the WAL record.
-Status Collection::CreateStructuralIndex(const StructuralIndexDef& def) {
+// Index DDL: the logging entry point delegates to its Apply* variant (which
+// guards first itself) before writing the WAL record.
+Status Collection::CreateIndex(const SecondaryIndexDef& def) {
   MutexLock ddl(ddl_mu_);
-  XDB_RETURN_NOT_OK(ApplyCreateStructuralIndex(def));
-  return engine_->LogCreateStructuralIndex(meta_.name, def);
+  XDB_RETURN_NOT_OK(ApplyCreateIndex(def));
+  return engine_->LogIndexDdl(meta_.name, KindOf(def), NameOf(def), &def);
 }
 
-Status Collection::ApplyCreateStructuralIndex(const StructuralIndexDef& def) {
+Status Collection::ApplyCreateIndex(const SecondaryIndexDef& def) {
   XDB_RETURN_NOT_OK(GuardWrite());
   WriterMutexLock latch(latch_);
   return Install(def);

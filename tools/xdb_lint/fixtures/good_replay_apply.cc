@@ -4,37 +4,24 @@
 namespace xdb {
 
 // Applies the mutation under the latch; never logs, never touches ddl_mu_.
-Status Collection::ApplyCreateValueIndex(const ValueIndexDef& def) {
+Status Collection::ApplyCreateIndex(const SecondaryIndexDef& def) {
   XDB_RETURN_NOT_OK(GuardWrite());
   WriterMutexLock latch(latch_);
   return Install(def);
 }
 
-Status Collection::ApplyDropValueIndex(const std::string& name) {
+Status Collection::ApplyDropIndex(IndexKind kind, const std::string& name) {
   XDB_RETURN_NOT_OK(GuardWrite());
   WriterMutexLock latch(latch_);
   return Remove(name);
 }
 
 // Non-Apply functions may name ddl_mu_ and log freely.
-Status Collection::CreateValueIndex(const ValueIndexDef& def) {
+Status Collection::CreateIndex(const SecondaryIndexDef& def) {
   XDB_RETURN_NOT_OK(GuardWrite());
   MutexLock ddl(ddl_mu_);
-  XDB_RETURN_NOT_OK(ApplyCreateValueIndex(def));
-  return engine_->LogCreateIndex(meta_.name, def);
-}
-
-// Structural-index replay variants follow the same contract.
-Status Collection::ApplyCreateStructuralIndex(const StructuralIndexDef& def) {
-  XDB_RETURN_NOT_OK(GuardWrite());
-  WriterMutexLock latch(latch_);
-  return Install(def);
-}
-
-Status Collection::ApplyDropStructuralIndex(const std::string& name) {
-  XDB_RETURN_NOT_OK(GuardWrite());
-  WriterMutexLock latch(latch_);
-  return Remove(name);
+  XDB_RETURN_NOT_OK(ApplyCreateIndex(def));
+  return engine_->LogIndexDdl(meta_.name, KindOf(def), NameOf(def), &def);
 }
 
 }  // namespace xdb

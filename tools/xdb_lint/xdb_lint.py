@@ -101,16 +101,10 @@ ENTRY_GUARDS = {
     "Collection::UpdateTextNode": ["GuardWrite"],
     "Collection::DeleteSubtree": ["GuardWrite"],
     "Collection::InsertSubtree": ["GuardWrite"],
-    "Collection::CreateValueIndex": ["GuardWrite", "ApplyCreateValueIndex"],
-    "Collection::DropValueIndex": ["GuardWrite", "ApplyDropValueIndex"],
-    "Collection::ApplyCreateValueIndex": ["GuardWrite"],
-    "Collection::ApplyDropValueIndex": ["GuardWrite"],
-    "Collection::CreateStructuralIndex": ["GuardWrite",
-                                          "ApplyCreateStructuralIndex"],
-    "Collection::DropStructuralIndex": ["GuardWrite",
-                                        "ApplyDropStructuralIndex"],
-    "Collection::ApplyCreateStructuralIndex": ["GuardWrite"],
-    "Collection::ApplyDropStructuralIndex": ["GuardWrite"],
+    "Collection::CreateIndex": ["GuardWrite", "ApplyCreateIndex"],
+    "Collection::DropIndex": ["GuardWrite", "ApplyDropIndex"],
+    "Collection::ApplyCreateIndex": ["GuardWrite"],
+    "Collection::ApplyDropIndex": ["GuardWrite"],
 }
 
 RAW_SYNC_TYPES = {
