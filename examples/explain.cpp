@@ -1,8 +1,9 @@
 // EXPLAIN and engine metrics: run the same query over the streaming path and
 // the index path, print each plan (cost breakdown, statistics line and
-// plan-cache state included), show a plan-cache hit, the forced heuristic
-// planner, and a descendant query flipping to the structural interval
-// index, then dump the engine metrics snapshot.
+// plan-cache state included), show a plan-cache hit, a descendant query
+// flipping to the structural interval index, a full trace and the
+// heuristic planner over invalidated statistics, then dump the engine
+// metrics snapshot.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -70,15 +71,7 @@ int main() {
   std::printf("--- same query again (cached plan) ---\n%s\n",
               cached.profile.PlanText().c_str());
 
-  // 4. The pre-statistics Section 4.3 rules are still there for comparison
-  // (and as the automatic fallback when stats are missing after a crash).
-  QueryOptions heur = opts;
-  heur.use_heuristic_planner = true;
-  auto ruled = Unwrap(shop->Query(nullptr, query, heur), "heuristic query");
-  std::printf("--- forced heuristic planner ---\n%s\n",
-              ruled.profile.PlanText().c_str());
-
-  // 5. Structural (pre,post)-interval index: a descendant query has no
+  // 4. Structural (pre,post)-interval index: a descendant query has no
   // value predicate to probe, so it full-scans — until a structural index
   // covers the element and the interval range scan becomes cheaper than
   // walking every document. Deep documents where only a few contain the
@@ -105,10 +98,20 @@ int main() {
   std::printf("--- with the structural index (interval scan) ---\n%s\n",
               interval.profile.PlanText().c_str());
 
-  // 6. trace=true adds per-step lines and phase timings (ToText).
+  // 5. trace=true adds per-step lines and phase timings (ToText).
   opts.trace = true;
   auto traced = Unwrap(shop->Query(nullptr, query, opts), "traced query");
   std::printf("--- full trace ---\n%s\n", traced.profile.ToText().c_str());
+  opts.trace = false;
+
+  // 6. The pre-statistics Section 4.3 rules are the automatic fallback when
+  // the collected statistics are unusable (a missing or stale stats file at
+  // open). Invalidating them by hand shows that planner; the stats epoch
+  // moves, so the cached cost-based plan is not reused.
+  shop->stats()->Invalidate();
+  auto ruled = Unwrap(shop->Query(nullptr, query, opts), "heuristic query");
+  std::printf("--- heuristic planner (statistics invalidated) ---\n%s\n",
+              ruled.profile.PlanText().c_str());
 
   // 7. The engine-wide metrics snapshot those queries fed — including
   // query.plan_cache.{hits,misses,evictions,invalidations}.

@@ -5,6 +5,8 @@
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/replica
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -38,8 +40,10 @@ T Unwrap(Result<T> res, const char* what) {
 }
 
 int main() {
+  // Unique per run, so concurrent runs (parallel ctest) never share it.
   const std::string base =
-      (std::filesystem::temp_directory_path() / "xdb_replica_example")
+      (std::filesystem::temp_directory_path() /
+       ("xdb_replica_example." + std::to_string(::getpid())))
           .string();
   const std::string primary_dir = base + "/primary";
   const std::string replica_dir = base + "/replica";

@@ -4,9 +4,12 @@
 // while writers update subtrees under prefix node-ID locks; a locking
 // collection shows the classic reader/writer exclusion. Finishes with a
 // checkpoint + reopen cycle against a persistent directory.
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <string>
 
 #include "engine/engine.h"
 
@@ -30,7 +33,11 @@ void Must(Status st, const char* what) {
 }
 
 int main() {
-  std::string dir = "/tmp/xdb_versioned_example";
+  // Unique per run, so concurrent runs (parallel ctest) never share it.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("xdb_versioned_example." + std::to_string(::getpid())))
+          .string();
   std::filesystem::remove_all(dir);
 
   EngineOptions options;

@@ -939,8 +939,8 @@ Result<QueryResult> Collection::Query(Transaction* txn, Slice xpath,
   if (options.min_csn > 0)
     XDB_RETURN_NOT_OK(
         engine_->WaitForFreshness(options.min_csn, options.freshness_timeout_us));
-  const bool cacheable =
-      plan_cache_.enabled() && !options.use_heuristic_planner;
+  const bool cacheable = plan_cache_.enabled();
+  const bool profiled = options.explain || options.trace;
   const std::string text = xpath.ToString();
   // Bounded replan loop: a compiled plan can go stale when an index drop or
   // storage rebuild races execution. Staleness is reported via *plan_stale —
@@ -949,21 +949,21 @@ Result<QueryResult> Collection::Query(Transaction* txn, Slice xpath,
   Status last = Status::OK();
   for (int attempt = 0; attempt < 3; attempt++) {
     std::shared_ptr<const query::CompiledPlan> cp;
-    const char* cache_state = cacheable ? "miss" : "off";
-    uint64_t plan_wall_us = 0;
+    PlanTiming timing{cacheable ? "miss" : "off"};
     if (cacheable) {
       cp = plan_cache_.Lookup(text, options.force, options.want_values,
                               stats_.epoch());
-      if (cp != nullptr) cache_state = "hit";
+      if (cp != nullptr) timing.cache_state = "hit";
     }
     if (cp == nullptr) {
-      const auto plan_start = std::chrono::steady_clock::now();
+      const uint64_t plan_start = obs::WallMicros();
+      // Thread CPU is read only for profiled queries: the always-on path
+      // pays nothing for EXPLAIN's plan-phase CPU column.
+      const uint64_t plan_cpu_start = profiled ? obs::ThreadCpuMicros() : 0;
       XDB_ASSIGN_OR_RETURN(xpath::Path path, xpath::ParsePath(text));
       XDB_ASSIGN_OR_RETURN(cp, CompileForExecution(std::move(path), options));
-      plan_wall_us = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - plan_start)
-              .count());
+      timing.wall_us = obs::WallMicros() - plan_start;
+      if (profiled) timing.cpu_us = obs::ThreadCpuMicros() - plan_cpu_start;
       // Keyed by the epoch the plan was priced at: if the stats moved while
       // we compiled, the entry simply never matches a future lookup.
       if (cacheable)
@@ -971,43 +971,13 @@ Result<QueryResult> Collection::Query(Transaction* txn, Slice xpath,
                            cp->stats_epoch, cp);
     }
     bool plan_stale = false;
-    Result<QueryResult> res = ExecuteCompiled(
-        txn, *cp, options, cache_state, plan_wall_us, &plan_stale);
+    Result<QueryResult> res =
+        ExecuteCompiled(txn, *cp, options, timing, &plan_stale);
     if (res.ok() || !plan_stale) return res;
     last = res.status();
     // The plan probes an index that no longer exists; everything else
     // compiled at the old structure version is equally dead.
     if (cacheable) plan_cache_.Invalidate("stale plan replanned");
-  }
-  return last;
-}
-
-Result<QueryResult> Collection::ExecutePath(Transaction* txn,
-                                            const xpath::Path& path,
-                                            const QueryOptions& options) {
-  XDB_RETURN_NOT_OK(GuardRepair());
-  if (options.min_csn > 0)
-    XDB_RETURN_NOT_OK(
-        engine_->WaitForFreshness(options.min_csn, options.freshness_timeout_us));
-  Status last = Status::OK();
-  for (int attempt = 0; attempt < 3; attempt++) {
-    const auto plan_start = std::chrono::steady_clock::now();
-    xpath::Path copy;
-    copy.absolute = path.absolute;
-    copy.steps.reserve(path.steps.size());
-    for (const xpath::Step& s : path.steps)
-      copy.steps.push_back(xpath::CloneStep(s));
-    XDB_ASSIGN_OR_RETURN(std::shared_ptr<const query::CompiledPlan> cp,
-                         CompileForExecution(std::move(copy), options));
-    const uint64_t plan_wall_us = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - plan_start)
-            .count());
-    bool plan_stale = false;
-    Result<QueryResult> res = ExecuteCompiled(txn, *cp, options, "off",
-                                              plan_wall_us, &plan_stale);
-    if (res.ok() || !plan_stale) return res;
-    last = res.status();
   }
   return last;
 }
@@ -1046,12 +1016,12 @@ Collection::CompileForExecution(xpath::Path&& path,
         docs == 0 ? 1.0
                   : static_cast<double>(std::max<uint64_t>(live, docs)) /
                         static_cast<double>(docs);
-    // Collected statistics drive the cost model; when they are unavailable
-    // (degraded at open) or explicitly bypassed, ChoosePlan falls back to
-    // the Section 4.3 heuristic rules. stats_'s mutex is a leaf acquired
-    // after latch_ (see the member comment), so snapshotting here is safe.
+    // Collected statistics drive the cost model; when they are invalid
+    // (degraded at open), ChoosePlan falls back to the Section 4.3 heuristic
+    // rules. stats_'s mutex is a leaf acquired after latch_ (see the member
+    // comment), so snapshotting here is safe.
     snap = stats_.Snapshot();
-    if (!options.use_heuristic_planner) ctx.stats = &snap;
+    ctx.stats = &snap;
     XDB_ASSIGN_OR_RETURN(cp->plan,
                          query::ChoosePlan(path, ctx, options.force));
     cp->avg_records_per_doc = ctx.avg_records_per_doc;
@@ -1080,9 +1050,8 @@ Collection::CompileForExecution(xpath::Path&& path,
 
   // Compile the full query once for scans and per-document evaluation.
   XDB_ASSIGN_OR_RETURN(
-      std::unique_ptr<xpath::QueryTree> tree,
+      cp->tree,
       xpath::QueryTree::Compile(path, *engine_->dict(), options.want_values));
-  cp->tree = std::move(tree);
 
   const bool node_level =
       cp->plan.method == query::AccessMethod::kNodeIdList ||
@@ -1127,284 +1096,441 @@ Collection::CompileForExecution(xpath::Path&& path,
       prefix_pattern.steps.push_back(xpath::CloneStep(path.steps[i]));
     for (auto& s : prefix_pattern.steps) s.predicates.clear();
 
-    XDB_ASSIGN_OR_RETURN(
-        std::unique_ptr<xpath::QueryTree> residual_tree,
-        xpath::QueryTree::Compile(residual, *engine_->dict(),
-                                  options.want_values));
-    cp->residual_tree = std::move(residual_tree);
+    XDB_ASSIGN_OR_RETURN(cp->residual_tree,
+                         xpath::QueryTree::Compile(residual, *engine_->dict(),
+                                                   options.want_values));
     cp->prefix_pattern = std::move(prefix_pattern);
   }
   cp->path = std::move(path);
   return std::shared_ptr<const query::CompiledPlan>(std::move(cp));
 }
 
+namespace {
+
+/// The evaluate stage's one fan-out. Evaluates items [0, n) with
+/// `eval_one(i, out)`: serially into `result` when the list is too small to
+/// split (query::PartitionForParallelism), otherwise as one pool task per
+/// contiguous chunk, each into a private QueryResult. Chunks merge in chunk
+/// order, which reproduces the serial append order exactly, and the
+/// lowest-index chunk's error wins, like a serial loop stopping at its first
+/// failure.
+template <typename EvalOne>
+Status FanOut(Engine* engine, const QueryOptions& options, size_t n,
+              QueryResult* result, const EvalOne& eval_one) {
+  // Threads for this query, the caller included: options.parallelism or the
+  // engine default, clamped to the pool; 1 when the engine has no pool.
+  util::ThreadPool* pool = engine->query_pool();
+  const int wanted = options.parallelism > 0
+                         ? options.parallelism
+                         : engine->options().num_query_threads;
+  const size_t parallelism =
+      pool == nullptr ? 1
+                      : static_cast<size_t>(std::clamp(
+                            wanted, 1, static_cast<int>(pool->size()) + 1));
+  const std::vector<query::WorkRange> ranges =
+      query::PartitionForParallelism(n, parallelism);
+  // Unconditional: two plain stores, and the always-on
+  // query.parallel_executions counter reads chunks afterwards.
+  result->profile.parallelism =
+      ranges.empty() ? 1 : static_cast<int>(parallelism);
+  result->profile.chunks = ranges.empty() ? 1 : ranges.size();
+  if (ranges.empty()) {
+    for (size_t i = 0; i < n; i++) XDB_RETURN_NOT_OK(eval_one(i, result));
+    return Status::OK();
+  }
+  std::vector<QueryResult> chunks(ranges.size());
+  std::vector<Status> chunk_status(ranges.size());
+  // Pool threads have no wait scope of their own; re-install this query's
+  // so per-chunk latch/buffer waits attribute to it (WaitStats is atomic,
+  // safe for concurrent Add from every chunk).
+  obs::WaitStats* query_waits = obs::QueryWaitScope::current();
+  pool->ParallelFor(ranges.size(), parallelism, [&](size_t c) {
+    obs::QueryWaitScope chunk_scope(query_waits);
+    for (size_t i = ranges[c].begin; i < ranges[c].end && chunk_status[c].ok();
+         i++)
+      chunk_status[c] = eval_one(i, &chunks[c]);
+  });
+  for (const Status& st : chunk_status) XDB_RETURN_NOT_OK(st);
+  for (QueryResult& c : chunks) {
+    result->stats.Merge(c.stats);
+    for (ResultNode& r : c.nodes) result->nodes.push_back(std::move(r));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<QueryResult> Collection::ExecuteCompiled(
     Transaction* txn, const query::CompiledPlan& cp,
-    const QueryOptions& options, const char* cache_state,
-    uint64_t plan_wall_us, bool* plan_stale) {
+    const QueryOptions& options, const PlanTiming& timing, bool* plan_stale) {
   *plan_stale = false;
   XDB_RETURN_NOT_OK(GuardRepair());
   AutoTxn at(engine_, txn, IsolationMode::kLocking);
   // Always-on wait attribution: every WaitSpan crossed while this scope is
   // installed (lock-manager waits, buffer-miss I/O, latch acquisitions,
   // index probes, WAL commits) adds to `waits`, on this thread and — via
-  // the per-chunk re-install in EvalDocsParallel/RecheckAnchors — on pool
-  // threads working for this query. Cost when nothing blocks: a TLS store
-  // here and two clock reads per span actually crossed.
+  // the per-chunk re-install in FanOut — on pool threads working for this
+  // query. Cost when nothing blocks: a TLS store here and two clock reads
+  // per span actually crossed.
   obs::WaitStats waits;
   obs::QueryWaitScope wait_scope(&waits);
   QueryResult result;
-  const query::QueryPlan& plan = cp.plan;
   // Per-query profile, populated only on request (a default QueryProfile is
   // cheap). The always-on cost of a query is just the engine query counter
-  // and latency histogram at the bottom of this function.
+  // and latency histogram in FinishQuery.
   obs::QueryProfile& prof = result.profile;
-  if (options.explain || options.trace) {
-    prof.enabled = true;
-    prof.trace = options.trace;
-    prof.collection = meta_.name;
-    prof.query = cp.path.ToString();
-    prof.access_method = query::AccessMethodName(plan.method);
-    prof.reason = plan.reason;
-    prof.probes = cp.probe_lines;
-    prof.disjunctive = plan.disjunctive;
-    prof.need_recheck = plan.need_recheck;
-    prof.anchor_step = plan.anchor_step;
-    prof.doc_count = cp.doc_count;
-    prof.avg_records_per_doc = cp.avg_records_per_doc;
-    prof.nodes_per_doc = cp.nodes_per_doc;
-    prof.stats_epoch = cp.stats_epoch;
-    prof.stats_valid = cp.stats_valid;
-    prof.plan_cache = cache_state;
-    // Planning time attributed by the caller: parse+plan+compile on a miss,
-    // 0 on a cache hit (the hit path skips all three).
-    prof.AddPhase("plan", plan_wall_us, 0);
-  }
-  uint64_t pages_before = 0;
+  if (options.explain || options.trace)
+    BeginProfile(cp, timing, options.trace, &prof);
+  uint64_t pages_before = 0, cpu_start = 0;
   if (prof.enabled) {
     // Attributed as a before/after delta of the pool counters; approximate
     // under concurrent load (documented in query_trace.h).
     BufferManagerStats bs = buffer_->stats();
     pages_before = bs.hits + bs.misses;
+    cpu_start = obs::ThreadCpuMicros();
   }
-  const auto wall_start = std::chrono::steady_clock::now();
+  const uint64_t wall_start = obs::WallMicros();
   Status st = [&]() -> Status {
+    const query::QueryPlan& plan = cp.plan;
     result.stats.method = plan.method;
     result.stats.explain = plan.explain;
     result.stats.rechecked = plan.need_recheck;
-
-    // Snapshot vs locking read machinery.
+    // Snapshot vs locking read machinery; snapshot reads take no doc locks.
     SnapshotLocator snap(versions_.get(), 0);
     NodeLocator* locator = ReadLocator(at.get(), &snap);
-    const bool snapshot_read = locator == &snap;
-
-    // Evaluates the full query over a candidate DocID list, fanning out to
-    // the engine's query pool when the list is big enough to pay for it.
-    // The chunked path appends results in exactly the order the serial loop
-    // would, so parallelism never changes the answer.
-    auto eval_docs = [&](const std::vector<uint64_t>& docs_list) -> Status {
-      obs::PhaseTimer timer(&prof, "eval");
-      Transaction* lock_txn = snapshot_read ? nullptr : at.get();
-      const size_t parallelism =
-          static_cast<size_t>(EffectiveParallelism(options));
-      std::vector<query::WorkRange> ranges =
-          query::PartitionForParallelism(docs_list.size(), parallelism);
-      // Unconditional: two plain stores, and the always-on
-      // query.parallel_executions counter reads chunks afterwards.
-      prof.parallelism = ranges.empty() ? 1 : static_cast<int>(parallelism);
-      prof.chunks = ranges.empty() ? 1 : ranges.size();
-      if (ranges.empty()) {
-        return EvalDocRange(lock_txn, docs_list, 0, docs_list.size(),
-                            cp.tree.get(), locator, &result);
-      }
-      return EvalDocsParallel(lock_txn, docs_list, ranges, parallelism,
-                              cp.tree.get(), locator, &result);
-    };
-
-    if (plan.method == query::AccessMethod::kFullScan) {
-      XDB_ASSIGN_OR_RETURN(std::vector<uint64_t> all_docs, ListDocIds());
-      if (prof.enabled) prof.candidate_docs = all_docs.size();
-      result.stats.candidate_docs = all_docs.size();
-      XDB_RETURN_NOT_OK(eval_docs(all_docs));
-      NormalizeSequence(&result.nodes);
-      return Status::OK();
-    }
-
-    // Probe the indexes under the shared latch (no doc locks held yet, so
-    // this cannot invert the doc-lock-before-latch order).
-    std::vector<std::vector<Posting>> postings_per_probe;
-    std::vector<Posting> structural_postings;
-    {
-      obs::PhaseTimer timer(&prof, "probe");
-      obs::WaitSpan latch_span(engine_->wait_sink(), obs::WaitState::kLatch);
-      ReaderMutexLock latch(latch_);
-      latch_span.Finish();
-      // Structure-version gate: the plan's ValueIndex pointers are only safe
-      // to dereference while the index set is the one it was compiled
-      // against. A mismatch (index dropped, storage rebuilt) makes the plan
-      // stale — the caller replans; it is never served.
-      if (index_version_.load(std::memory_order_acquire) !=
-          cp.index_version) {
-        *plan_stale = true;
-        return Status::Busy("plan compiled against a changed index set");
-      }
-      for (size_t pi = 0; pi < plan.probes.size(); pi++) {
-        const query::PlannedProbe& probe = plan.probes[pi];
-        std::optional<KeyBound> lo, hi;
-        bool not_equal = false;
+    // Candidate stage: one source per access-method family.
+    Candidates cands;
+    switch (plan.method) {
+      case query::AccessMethod::kFullScan:
+        XDB_RETURN_NOT_OK(ScanCandidates(&result, &cands));
+        break;
+      case query::AccessMethod::kStructuralScan:
         XDB_RETURN_NOT_OK(
-            query::ProbeBounds(*probe.index, probe.pred, &lo, &hi, &not_equal));
-        std::vector<Posting> postings;
-        obs::WaitSpan probe_span(engine_->wait_sink(),
-                                 obs::WaitState::kIndexProbe);
-        XDB_RETURN_NOT_OK(probe.index->Scan(lo, hi, &postings));
-        probe_span.Finish();
-        result.stats.index_postings += postings.size();
-        if (prof.trace)
-          prof.trace_lines.push_back(
-              "probe " + std::to_string(pi) + " index '" +
-              probe.index->def().name + "' -> " +
-              std::to_string(postings.size()) + " postings");
-        postings_per_probe.push_back(std::move(postings));
-      }
-      // Structural range scan, under the same latch + version gate as the
-      // value probes (the plan's StructuralIndex pointer has the same
-      // lifetime contract). A never-interned name scans nothing.
-      if (plan.structural_index != nullptr &&
-          cp.structural_name_id != NameDictionary::kInvalidNameId) {
-        std::vector<StructuralPosting> entries;
-        obs::WaitSpan probe_span(engine_->wait_sink(),
-                                 obs::WaitState::kIndexProbe);
-        XDB_RETURN_NOT_OK(
-            plan.structural_index->Scan(cp.structural_name_id, &entries));
-        probe_span.Finish();
-        structural_postings.reserve(entries.size());
-        for (StructuralPosting& e : entries)
-          structural_postings.push_back(
-              Posting{e.doc_id, std::move(e.node_id), Rid()});
-        result.stats.index_postings += structural_postings.size();
-        if (prof.trace)
-          prof.trace_lines.push_back(
-              "structural scan index '" +
-              plan.structural_index->def().name + "' element '" +
-              plan.structural_name + "' -> " +
-              std::to_string(structural_postings.size()) + " entries");
-      }
+            StructuralCandidates(cp, &result, &cands, plan_stale));
+        break;
+      default:
+        XDB_RETURN_NOT_OK(ProbeCandidates(cp, &result, &cands, plan_stale));
+        break;
     }
-
-    if (plan.method == query::AccessMethod::kStructuralScan) {
-      // The scan IS the anchor list: entries arrive ordered by (doc,
-      // document position), which is exactly the (doc, node-ID byte) order
-      // the recheck pipeline expects. The prefix pattern plus residual
-      // validate the full path around each instance.
-      std::vector<Posting> anchors = std::move(structural_postings);
-      result.stats.candidate_anchors = anchors.size();
-      if (prof.trace)
-        prof.trace_lines.push_back("structural anchors -> " +
-                                   std::to_string(anchors.size()) +
-                                   " candidates");
-      {
-        obs::PhaseTimer timer(&prof, "recheck");
-        XDB_RETURN_NOT_OK(RecheckAnchors(snapshot_read ? nullptr : at.get(),
-                                         cp.residual_tree.get(),
-                                         cp.prefix_pattern, anchors, options,
-                                         locator, &result));
-      }
-      NormalizeSequence(&result.nodes);
-      return Status::OK();
-    }
-
-    const bool node_level =
-        plan.method == query::AccessMethod::kNodeIdList ||
-        plan.method == query::AccessMethod::kNodeIdAndOr;
-
-    if (!node_level) {
-      // DocID list / ANDing / ORing, then per-document evaluation.
-      std::vector<uint64_t> docs_list;
-      {
-        obs::PhaseTimer timer(&prof, "merge");
-        docs_list =
-            query::MergeCandidateDocIds(postings_per_probe, plan.disjunctive);
-      }
-      result.stats.candidate_docs = docs_list.size();
-      if (prof.trace)
-        prof.trace_lines.push_back(
-            std::string(plan.disjunctive ? "union" : "intersection") +
-            " of doc lists -> " + std::to_string(docs_list.size()) +
-            " candidate docs");
-      XDB_RETURN_NOT_OK(eval_docs(docs_list));
-      NormalizeSequence(&result.nodes);
-      return Status::OK();
-    }
-
-    // NodeID-level: anchor each posting at the predicate step.
-    std::vector<Posting> anchors;
-    {
-      obs::PhaseTimer timer(&prof, "merge");
-      std::vector<std::vector<Posting>> anchored;
-      for (size_t i = 0; i < postings_per_probe.size(); i++) {
-        std::vector<Posting> a;
-        if (plan.structural_anchor &&
-            plan.probes[i].pred.strip_levels < 0) {
-          // Descendant branch: the value node's anchor ancestors come from
-          // the interval join instead of level-stripping.
-          XDB_RETURN_NOT_OK(query::StructuralAnchorJoin(
-              postings_per_probe[i], structural_postings, &a));
-        } else {
-          XDB_RETURN_NOT_OK(query::AnchorPostings(
-              postings_per_probe[i], plan.probes[i].pred.strip_levels, &a));
-        }
-        anchored.push_back(std::move(a));
-      }
-      anchors = plan.disjunctive
-                    ? query::UnionPostings(std::move(anchored))
-                    : query::IntersectPostings(std::move(anchored));
-    }
-    result.stats.candidate_anchors = anchors.size();
-    if (prof.trace)
-      prof.trace_lines.push_back(
-          std::string(plan.disjunctive ? "union" : "intersection") +
-          " of anchored postings -> " + std::to_string(anchors.size()) +
-          " candidate anchors");
-    {
-      obs::PhaseTimer timer(&prof, "recheck");
-      XDB_RETURN_NOT_OK(RecheckAnchors(snapshot_read ? nullptr : at.get(),
-                                       cp.residual_tree.get(),
-                                       cp.prefix_pattern, anchors, options,
-                                       locator, &result));
-    }
-    NormalizeSequence(&result.nodes);
-    return Status::OK();
+    // Evaluate stage.
+    return EvaluateCandidates(locator == &snap ? nullptr : at.get(), cp,
+                              options, locator, cands, &result);
   }();
+  FinishQuery(cp, timing, obs::WallMicros() - wall_start,
+              prof.enabled ? obs::ThreadCpuMicros() - cpu_start : 0,
+              pages_before, waits, &result);
+  XDB_RETURN_NOT_OK(at.Finish(st));
+  return result;
+}
+
+Status Collection::ScanCandidates(QueryResult* result, Candidates* out) {
+  XDB_ASSIGN_OR_RETURN(out->docs, ListDocIds());
+  result->stats.candidate_docs = out->docs.size();
+  return Status::OK();
+}
+
+Status Collection::ProbeCandidates(const query::CompiledPlan& cp,
+                                   QueryResult* result, Candidates* out,
+                                   bool* plan_stale) {
+  const query::QueryPlan& plan = cp.plan;
+  std::vector<std::vector<Posting>> per_probe;
+  std::vector<Posting> structural;
+  XDB_RETURN_NOT_OK(
+      ProbeIndexes(cp, result, &per_probe, &structural, plan_stale));
+  obs::QueryProfile& prof = result->profile;
+  obs::PhaseTimer timer(&prof, "merge");
+  const char* combine = plan.disjunctive ? "union" : "intersection";
+  out->node_level = plan.method == query::AccessMethod::kNodeIdList ||
+                    plan.method == query::AccessMethod::kNodeIdAndOr;
+  if (!out->node_level) {
+    // DocID list / ANDing / ORing; each document is evaluated whole.
+    out->docs = query::MergeCandidateDocIds(per_probe, plan.disjunctive);
+    result->stats.candidate_docs = out->docs.size();
+    if (prof.trace)
+      prof.trace_lines.push_back(std::string(combine) + " of doc lists -> " +
+                                 std::to_string(out->docs.size()) +
+                                 " candidate docs");
+    return Status::OK();
+  }
+  // NodeID level: anchor each posting at the predicate step.
+  std::vector<std::vector<Posting>> anchored(per_probe.size());
+  for (size_t i = 0; i < per_probe.size(); i++) {
+    if (plan.structural_anchor && plan.probes[i].pred.strip_levels < 0) {
+      // Descendant branch: the value node's anchor ancestors come from the
+      // interval join instead of level-stripping.
+      XDB_RETURN_NOT_OK(
+          query::StructuralAnchorJoin(per_probe[i], structural, &anchored[i]));
+    } else {
+      XDB_RETURN_NOT_OK(query::AnchorPostings(
+          per_probe[i], plan.probes[i].pred.strip_levels, &anchored[i]));
+    }
+  }
+  out->anchors = plan.disjunctive
+                     ? query::UnionPostings(std::move(anchored))
+                     : query::IntersectPostings(std::move(anchored));
+  result->stats.candidate_anchors = out->anchors.size();
+  if (prof.trace)
+    prof.trace_lines.push_back(std::string(combine) +
+                               " of anchored postings -> " +
+                               std::to_string(out->anchors.size()) +
+                               " candidate anchors");
+  return Status::OK();
+}
+
+Status Collection::StructuralCandidates(const query::CompiledPlan& cp,
+                                        QueryResult* result, Candidates* out,
+                                        bool* plan_stale) {
+  // The scan IS the anchor list: entries arrive ordered by (doc, document
+  // position), which is exactly the (doc, node-ID byte) order the evaluate
+  // stage expects. The prefix pattern plus residual validate the full path
+  // around each instance.
+  std::vector<std::vector<Posting>> no_value_probes;
+  XDB_RETURN_NOT_OK(ProbeIndexes(cp, result, &no_value_probes, &out->anchors,
+                                 plan_stale));
+  out->node_level = true;
+  result->stats.candidate_anchors = out->anchors.size();
+  if (result->profile.trace)
+    result->profile.trace_lines.push_back(
+        "structural anchors -> " + std::to_string(out->anchors.size()) +
+        " candidates");
+  return Status::OK();
+}
+
+Status Collection::ProbeIndexes(const query::CompiledPlan& cp,
+                                QueryResult* result,
+                                std::vector<std::vector<Posting>>* per_probe,
+                                std::vector<Posting>* structural,
+                                bool* plan_stale) {
+  const query::QueryPlan& plan = cp.plan;
+  obs::QueryProfile& prof = result->profile;
+  // No doc locks are held yet, so taking the latch here cannot invert the
+  // doc-lock-before-latch order.
+  obs::PhaseTimer timer(&prof, "probe");
+  obs::WaitSpan latch_span(engine_->wait_sink(), obs::WaitState::kLatch);
+  ReaderMutexLock latch(latch_);
+  latch_span.Finish();
+  // Structure-version gate: the plan's index pointers are only safe to
+  // dereference while the index set is the one it was compiled against. A
+  // mismatch (index dropped, storage rebuilt) makes the plan stale — the
+  // caller replans; it is never served.
+  if (index_version_.load(std::memory_order_acquire) != cp.index_version) {
+    *plan_stale = true;
+    return Status::Busy("plan compiled against a changed index set");
+  }
+  for (size_t pi = 0; pi < plan.probes.size(); pi++) {
+    const query::PlannedProbe& probe = plan.probes[pi];
+    std::optional<KeyBound> lo, hi;
+    bool not_equal = false;
+    XDB_RETURN_NOT_OK(
+        query::ProbeBounds(*probe.index, probe.pred, &lo, &hi, &not_equal));
+    std::vector<Posting> postings;
+    obs::WaitSpan probe_span(engine_->wait_sink(),
+                             obs::WaitState::kIndexProbe);
+    XDB_RETURN_NOT_OK(probe.index->Scan(lo, hi, &postings));
+    probe_span.Finish();
+    result->stats.index_postings += postings.size();
+    if (prof.trace)
+      prof.trace_lines.push_back("probe " + std::to_string(pi) + " index '" +
+                                 probe.index->def().name + "' -> " +
+                                 std::to_string(postings.size()) +
+                                 " postings");
+    per_probe->push_back(std::move(postings));
+  }
+  // A never-interned element name scans nothing.
+  if (plan.structural_index == nullptr ||
+      cp.structural_name_id == NameDictionary::kInvalidNameId)
+    return Status::OK();
+  std::vector<StructuralPosting> entries;
+  obs::WaitSpan probe_span(engine_->wait_sink(), obs::WaitState::kIndexProbe);
+  XDB_RETURN_NOT_OK(
+      plan.structural_index->Scan(cp.structural_name_id, &entries));
+  probe_span.Finish();
+  structural->reserve(entries.size());
+  for (StructuralPosting& e : entries)
+    structural->push_back(Posting{e.doc_id, std::move(e.node_id), Rid()});
+  result->stats.index_postings += structural->size();
+  if (prof.trace)
+    prof.trace_lines.push_back("structural scan index '" +
+                               plan.structural_index->def().name +
+                               "' element '" + plan.structural_name +
+                               "' -> " + std::to_string(structural->size()) +
+                               " entries");
+  return Status::OK();
+}
+
+Status Collection::EvaluateCandidates(Transaction* lock_txn,
+                                      const query::CompiledPlan& cp,
+                                      const QueryOptions& options,
+                                      NodeLocator* locator,
+                                      const Candidates& cands,
+                                      QueryResult* result) {
+  const bool node_level = cands.node_level;
+  const size_t n = node_level ? cands.anchors.size() : cands.docs.size();
+  auto doc_of = [&](size_t i) {
+    return node_level ? cands.anchors[i].doc_id : cands.docs[i];
+  };
+  {
+    obs::PhaseTimer timer(&result->profile, node_level ? "recheck" : "eval");
+    // Doc S-locks first, all on this thread and before any latch: they can
+    // block, and the transaction's lock table is not safe for concurrent
+    // mutation. Both candidate lists are DocID-ordered, so skipping repeats
+    // locks each document once, in DocID order. The locks are held to
+    // commit either way.
+    if (lock_txn != nullptr)
+      for (size_t i = 0; i < n; i++)
+        if (i == 0 || doc_of(i) != doc_of(i - 1))
+          XDB_RETURN_NOT_OK(ReadLockDoc(lock_txn, doc_of(i)));
+    XDB_RETURN_NOT_OK(FanOut(
+        engine_, options, n, result, [&](size_t i, QueryResult* out) -> Status {
+          obs::WaitSpan latch_span(engine_->wait_sink(),
+                                   obs::WaitState::kLatch);
+          ReaderMutexLock latch(latch_);
+          latch_span.Finish();
+          if (node_level) return EvalAnchor(cands.anchors[i], cp, locator, out);
+          Status st = RunScan(cp.tree.get(), cands.docs[i], std::string(),
+                              locator, out);
+          if (st.IsNotFound()) return Status::OK();  // invisible at snapshot
+          if (st.ok()) out->stats.docs_evaluated++;
+          return st;
+        }));
+  }
+  NormalizeSequence(&result->nodes);
+  return Status::OK();
+}
+
+Status Collection::EvalAnchor(const Posting& anchor,
+                              const query::CompiledPlan& cp,
+                              NodeLocator* locator, QueryResult* result) {
+  // Verify the anchor's own path against the main-path prefix. A miss (not
+  // visible at this snapshot, stale posting, unknown name) skips it.
+  {
+    auto rid = locator->Lookup(anchor.doc_id, Slice(anchor.node_id));
+    if (!rid.ok()) return Status::OK();
+    std::string record;
+    if (!records_->Get(rid.value(), &record).ok()) return Status::OK();
+    RecordWalker walker((Slice(record)));
+    XDB_RETURN_NOT_OK(walker.Init());
+    const RecordHeader& header = walker.header();
+    std::vector<Slice> levels;
+    XDB_RETURN_NOT_OK(nodeid::SplitLevels(header.context_node_id, &levels));
+    // The anchor's concrete path: header path + in-record names.
+    xpath::Path concrete;
+    concrete.absolute = true;
+    auto push_step = [&](xpath::Axis axis, NameId local) {
+      auto name = engine_->dict()->Name(local);
+      if (!name.ok()) return false;
+      xpath::Step step;
+      step.axis = axis;
+      step.test = xpath::NodeTest::kName;
+      step.name = name.MoveValue();
+      concrete.steps.push_back(std::move(step));
+      return true;
+    };
+    for (const RecordHeader::PathStep& level : header.root_path)
+      if (!push_step(xpath::Axis::kChild, level.local)) return Status::OK();
+    // Walk down to the anchor collecting element and attribute names.
+    const Slice target(anchor.node_id);
+    bool found = target == header.context_node_id;
+    while (!found) {
+      RecordWalker::Event ev;
+      XDB_RETURN_NOT_OK(walker.Next(&ev));
+      if (ev.type == RecordWalker::EventType::kDone) return Status::OK();
+      if (ev.type != RecordWalker::EventType::kStart) continue;
+      const Slice abs(ev.entry.abs_id);
+      found = abs == target;
+      if (!found && !nodeid::IsAncestor(abs, target)) {
+        if (ev.entry.kind == NodeKind::kElement) walker.SkipChildren();
+        continue;
+      }
+      const bool attribute = ev.entry.kind == NodeKind::kAttribute;
+      if ((attribute || ev.entry.kind == NodeKind::kElement) &&
+          !push_step(attribute ? xpath::Axis::kAttribute : xpath::Axis::kChild,
+                     ev.entry.local))
+        return Status::OK();
+    }
+    if (!xpath::PathContains(cp.prefix_pattern, concrete)) return Status::OK();
+  }
+
+  // Evaluate the residual on the anchor subtree.
+  Status st = RunScan(cp.residual_tree.get(), anchor.doc_id, anchor.node_id,
+                      locator, result);
+  return st.IsNotFound() ? Status::OK() : st;
+}
+
+Status Collection::RunScan(const xpath::QueryTree* tree, uint64_t doc_id,
+                           std::string subtree_root, NodeLocator* locator,
+                           QueryResult* result) {
+  StoredDocSource source(records_.get(), locator, doc_id,
+                         std::move(subtree_root));
+  xpath::QuickXScan scan(tree, doc_id);
+  NodeSequence hits;
+  XDB_RETURN_NOT_OK(scan.Run(&source, &hits));
+  QueryStats& stats = result->stats;
+  const xpath::QuickXScanStats& ss = scan.stats();
+  stats.records_fetched += source.records_fetched();
+  stats.scan_events += ss.events;
+  stats.scan_instances += ss.instances_created;
+  stats.scan_peak_live = std::max(stats.scan_peak_live, ss.peak_live_instances);
+  for (ResultNode& r : hits) result->nodes.push_back(std::move(r));
+  return Status::OK();
+}
+
+void Collection::BeginProfile(const query::CompiledPlan& cp,
+                              const PlanTiming& timing, bool trace,
+                              obs::QueryProfile* prof) const {
+  const query::QueryPlan& plan = cp.plan;
+  prof->enabled = true;
+  prof->trace = trace;
+  prof->collection = meta_.name;
+  prof->query = cp.path.ToString();
+  prof->access_method = query::AccessMethodName(plan.method);
+  prof->reason = plan.reason;
+  prof->probes = cp.probe_lines;
+  prof->disjunctive = plan.disjunctive;
+  prof->need_recheck = plan.need_recheck;
+  prof->anchor_step = plan.anchor_step;
+  prof->doc_count = cp.doc_count;
+  prof->avg_records_per_doc = cp.avg_records_per_doc;
+  prof->nodes_per_doc = cp.nodes_per_doc;
+  prof->stats_epoch = cp.stats_epoch;
+  prof->stats_valid = cp.stats_valid;
+  prof->plan_cache = timing.cache_state;
+  // Planning time: parse+plan+compile on a miss, 0 on a cache hit (the hit
+  // path skips all three).
+  prof->AddPhase("plan", timing.wall_us, timing.cpu_us);
+}
+
+void Collection::FinishQuery(const query::CompiledPlan& cp,
+                             const PlanTiming& timing, uint64_t exec_wall_us,
+                             uint64_t exec_cpu_us, uint64_t pages_before,
+                             const obs::WaitStats& waits,
+                             QueryResult* result) {
+  obs::QueryProfile& prof = result->profile;
+  const QueryStats& stats = result->stats;
+  const uint64_t total_wall_us = timing.wall_us + exec_wall_us;
   // Always-on query accounting: one histogram observe and one or two counter
   // adds per query (the hot-path budget measured in EXPERIMENTS.md).
-  const uint64_t wall_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count());
-  if (engine_ != nullptr) {
-    const Engine::QueryMetrics& qm = engine_->query_metrics();
-    if (qm.executions != nullptr) qm.executions->Add(1);
-    if (qm.parallel_executions != nullptr && prof.chunks > 1)
-      qm.parallel_executions->Add(1);
-    if (qm.latency_us != nullptr) qm.latency_us->Observe(wall_us);
-  }
+  const Engine::QueryMetrics& qm = engine_->query_metrics();
+  if (qm.executions != nullptr) qm.executions->Add(1);
+  if (qm.parallel_executions != nullptr && prof.chunks > 1)
+    qm.parallel_executions->Add(1);
+  if (qm.latency_us != nullptr) qm.latency_us->Observe(exec_wall_us);
   if (prof.enabled) {
-    prof.index_postings = result.stats.index_postings;
-    prof.candidate_anchors = result.stats.candidate_anchors;
-    if (prof.candidate_docs == 0)
-      prof.candidate_docs = result.stats.candidate_docs;
-    prof.docs_evaluated = result.stats.docs_evaluated;
-    prof.records_fetched = result.stats.records_fetched;
-    prof.results = result.nodes.size();
-    prof.scan_events = result.stats.scan_events;
-    prof.scan_instances = result.stats.scan_instances;
-    prof.scan_peak_live = result.stats.scan_peak_live;
+    prof.index_postings = stats.index_postings;
+    prof.candidate_docs = stats.candidate_docs;
+    prof.candidate_anchors = stats.candidate_anchors;
+    prof.docs_evaluated = stats.docs_evaluated;
+    prof.records_fetched = stats.records_fetched;
+    prof.results = result->nodes.size();
+    prof.scan_events = stats.scan_events;
+    prof.scan_instances = stats.scan_instances;
+    prof.scan_peak_live = stats.scan_peak_live;
     BufferManagerStats bs = buffer_->stats();
     prof.pages_fetched = bs.hits + bs.misses - pages_before;
     // "total" covers plan + execution, so the per-phase lines (plan, probe,
-    // merge, eval/recheck) sum to it up to untimed glue between phases.
-    prof.AddPhase("total", plan_wall_us + wall_us, 0);
+    // merge, eval/recheck) sum to it up to untimed glue between phases. Its
+    // CPU is the issuing thread's; pool chunks show in the chunk counters.
+    prof.AddPhase("total", total_wall_us, timing.cpu_us + exec_cpu_us);
     for (size_t s = 0; s < obs::kWaitStateCount; s++) {
       const obs::WaitState ws = static_cast<obs::WaitState>(s);
       const uint64_t c = waits.Count(ws);
@@ -1416,259 +1542,26 @@ Result<QueryResult> Collection::ExecuteCompiled(
   }
   // Slow-query capture (always-on; one comparison when under the
   // threshold). Strings are built only for queries actually captured.
-  const uint64_t slow_threshold_us =
-      engine_ != nullptr ? engine_->slow_query_threshold_us() : 0;
-  if (slow_threshold_us > 0 && plan_wall_us + wall_us >= slow_threshold_us) {
-    obs::SlowQueryRecord rec;
-    rec.timestamp_us = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-    rec.wall_us = plan_wall_us + wall_us;
-    rec.results = result.nodes.size();
-    rec.parallelism =
-        prof.chunks > 1 ? static_cast<uint64_t>(prof.parallelism) : 1;
-    rec.collection = meta_.name;
-    rec.query = cp.path.ToString();
-    rec.access_method = query::AccessMethodName(plan.method);
-    for (size_t s = 0; s < obs::kWaitStateCount; s++) {
-      const obs::WaitState ws = static_cast<obs::WaitState>(s);
-      rec.wait_us[s] = waits.TotalUs(ws);
-      rec.wait_count[s] = waits.Count(ws);
-    }
-    engine_->slow_queries()->Record(rec);
+  const uint64_t slow_threshold_us = engine_->slow_query_threshold_us();
+  if (slow_threshold_us == 0 || total_wall_us < slow_threshold_us) return;
+  obs::SlowQueryRecord rec;
+  rec.timestamp_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
+  rec.wall_us = total_wall_us;
+  rec.results = result->nodes.size();
+  rec.parallelism =
+      prof.chunks > 1 ? static_cast<uint64_t>(prof.parallelism) : 1;
+  rec.collection = meta_.name;
+  rec.query = cp.path.ToString();
+  rec.access_method = query::AccessMethodName(cp.plan.method);
+  for (size_t s = 0; s < obs::kWaitStateCount; s++) {
+    const obs::WaitState ws = static_cast<obs::WaitState>(s);
+    rec.wait_us[s] = waits.TotalUs(ws);
+    rec.wait_count[s] = waits.Count(ws);
   }
-  XDB_RETURN_NOT_OK(at.Finish(st));
-  return result;
-}
-
-Status Collection::RecheckAnchors(Transaction* txn,
-                                  const xpath::QueryTree* residual_tree,
-                                  const xpath::Path& prefix_pattern,
-                                  const std::vector<Posting>& anchors,
-                                  const QueryOptions& options,
-                                  NodeLocator* locator, QueryResult* result) {
-  // The residual tree (self[anchor predicates]/remaining steps) and the
-  // predicate-free main-path prefix arrive pre-compiled in the CompiledPlan
-  // (see CompileForExecution), so a plan-cache hit reaches this phase with
-  // nothing left to parse or compile.
-
-  // Doc locks first, all on this thread: they can block, and the
-  // transaction's lock table is not safe for concurrent mutation. Locks are
-  // held until commit either way, so taking them up front is equivalent.
-  if (txn != nullptr) {
-    std::set<uint64_t> locked_docs;
-    for (const Posting& anchor : anchors)
-      if (locked_docs.insert(anchor.doc_id).second)
-        XDB_RETURN_NOT_OK(ReadLockDoc(txn, anchor.doc_id));
-  }
-
-  const size_t parallelism =
-      static_cast<size_t>(EffectiveParallelism(options));
-  std::vector<query::WorkRange> ranges =
-      query::PartitionForParallelism(anchors.size(), parallelism);
-  result->profile.parallelism =
-      ranges.empty() ? 1 : static_cast<int>(parallelism);
-  result->profile.chunks = ranges.empty() ? 1 : ranges.size();
-  if (ranges.empty()) {
-    for (const Posting& anchor : anchors)
-      XDB_RETURN_NOT_OK(EvalAnchor(anchor, residual_tree, prefix_pattern,
-                                   locator, result));
-    return Status::OK();
-  }
-
-  // Parallel recheck: one task per contiguous anchor chunk; per-chunk
-  // results merge in chunk order so the output matches the serial loop.
-  std::vector<QueryResult> chunks(ranges.size());
-  std::vector<Status> chunk_status(ranges.size());
-  // Pool threads have no wait scope of their own; re-install this query's
-  // so per-chunk latch/buffer waits attribute to it (WaitStats is atomic,
-  // safe for concurrent Add from every chunk).
-  obs::WaitStats* query_waits = obs::QueryWaitScope::current();
-  engine_->query_pool()->ParallelFor(
-      ranges.size(), parallelism, [&](size_t i) {
-        obs::QueryWaitScope chunk_scope(query_waits);
-        for (size_t j = ranges[i].begin;
-             j < ranges[i].end && chunk_status[i].ok(); j++) {
-          chunk_status[i] = EvalAnchor(anchors[j], residual_tree,
-                                       prefix_pattern, locator, &chunks[i]);
-        }
-      });
-  for (const Status& st : chunk_status) XDB_RETURN_NOT_OK(st);
-  for (QueryResult& c : chunks) {
-    result->stats.records_fetched += c.stats.records_fetched;
-    result->stats.scan_events += c.stats.scan_events;
-    result->stats.scan_instances += c.stats.scan_instances;
-    result->stats.scan_peak_live =
-        std::max(result->stats.scan_peak_live, c.stats.scan_peak_live);
-    for (ResultNode& r : c.nodes) result->nodes.push_back(std::move(r));
-  }
-  return Status::OK();
-}
-
-Status Collection::EvalAnchor(const Posting& anchor,
-                              const xpath::QueryTree* residual,
-                              const xpath::Path& prefix_pattern,
-                              NodeLocator* locator, QueryResult* result) {
-  obs::WaitSpan latch_span(engine_->wait_sink(), obs::WaitState::kLatch);
-  ReaderMutexLock latch(latch_);
-  latch_span.Finish();
-  // Verify the anchor's own path against the main-path prefix.
-  {
-    auto rid = locator->Lookup(anchor.doc_id, Slice(anchor.node_id));
-    if (!rid.ok()) return Status::OK();  // e.g. not visible at this snapshot
-    std::string record;
-    Status st = records_->Get(rid.value(), &record);
-    if (!st.ok()) return Status::OK();
-    RecordWalker walker((Slice(record)));
-    XDB_RETURN_NOT_OK(walker.Init());
-    // Build the anchor's concrete path: header path + in-record names.
-    xpath::Path concrete;
-    concrete.absolute = true;
-    const RecordHeader& header = walker.header();
-    std::vector<Slice> levels;
-    XDB_RETURN_NOT_OK(nodeid::SplitLevels(header.context_node_id, &levels));
-    bool bad = false;
-    for (size_t i = 0; i < header.root_path.size(); i++) {
-      xpath::Step step;
-      step.axis = xpath::Axis::kChild;
-      step.test = xpath::NodeTest::kName;
-      auto name = engine_->dict()->Name(header.root_path[i].local);
-      if (!name.ok()) {
-        bad = true;
-        break;
-      }
-      step.name = name.MoveValue();
-      concrete.steps.push_back(std::move(step));
-    }
-    if (bad) return Status::OK();
-    // Walk down to the anchor collecting element names.
-    bool found = Slice(anchor.node_id) == header.context_node_id;
-    while (!found) {
-      RecordWalker::Event ev;
-      XDB_RETURN_NOT_OK(walker.Next(&ev));
-      if (ev.type == RecordWalker::EventType::kDone) break;
-      if (ev.type != RecordWalker::EventType::kStart) continue;
-      Slice abs(ev.entry.abs_id);
-      bool on_path = abs == Slice(anchor.node_id) ||
-                     nodeid::IsAncestor(abs, Slice(anchor.node_id));
-      if (!on_path) {
-        if (ev.entry.kind == NodeKind::kElement) walker.SkipChildren();
-        continue;
-      }
-      if (ev.entry.kind == NodeKind::kElement ||
-          ev.entry.kind == NodeKind::kAttribute) {
-        xpath::Step step;
-        step.axis = ev.entry.kind == NodeKind::kAttribute
-                        ? xpath::Axis::kAttribute
-                        : xpath::Axis::kChild;
-        step.test = xpath::NodeTest::kName;
-        auto name = engine_->dict()->Name(ev.entry.local);
-        if (!name.ok()) {
-          bad = true;
-          break;
-        }
-        step.name = name.MoveValue();
-        concrete.steps.push_back(std::move(step));
-      }
-      if (abs == Slice(anchor.node_id)) found = true;
-    }
-    if (bad || !found) return Status::OK();
-    if (!xpath::PathContains(prefix_pattern, concrete)) return Status::OK();
-  }
-
-  // Evaluate the residual on the anchor subtree.
-  StoredDocSource source(records_.get(), locator, anchor.doc_id,
-                         anchor.node_id);
-  xpath::QuickXScan scan(residual, anchor.doc_id);
-  NodeSequence hits;
-  Status st = scan.Run(&source, &hits);
-  if (st.IsNotFound()) return Status::OK();
-  XDB_RETURN_NOT_OK(st);
-  result->stats.records_fetched += source.records_fetched();
-  const xpath::QuickXScanStats& ss = scan.stats();
-  result->stats.scan_events += ss.events;
-  result->stats.scan_instances += ss.instances_created;
-  result->stats.scan_peak_live =
-      std::max(result->stats.scan_peak_live, ss.peak_live_instances);
-  for (ResultNode& r : hits) result->nodes.push_back(std::move(r));
-  return Status::OK();
-}
-
-int Collection::EffectiveParallelism(const QueryOptions& options) const {
-  if (engine_ == nullptr || engine_->query_pool() == nullptr) return 1;
-  int p = options.parallelism > 0 ? options.parallelism
-                                  : engine_->options().num_query_threads;
-  int cap = static_cast<int>(engine_->query_pool()->size()) + 1;
-  return std::max(1, std::min(p, cap));
-}
-
-Status Collection::EvalDocRange(Transaction* txn,
-                                const std::vector<uint64_t>& docs,
-                                size_t begin, size_t end,
-                                const xpath::QueryTree* tree,
-                                NodeLocator* locator, QueryResult* result) {
-  for (size_t i = begin; i < end; i++) {
-    const uint64_t doc_id = docs[i];
-    // Doc lock first (it can block), then the shared latch for the reads.
-    if (txn != nullptr) XDB_RETURN_NOT_OK(ReadLockDoc(txn, doc_id));
-    obs::WaitSpan latch_span(engine_->wait_sink(), obs::WaitState::kLatch);
-    ReaderMutexLock latch(latch_);
-    latch_span.Finish();
-    StoredDocSource source(records_.get(), locator, doc_id);
-    xpath::QuickXScan scan(tree, doc_id);
-    NodeSequence hits;
-    Status est = scan.Run(&source, &hits);
-    if (est.IsNotFound()) continue;  // invisible at snapshot
-    XDB_RETURN_NOT_OK(est);
-    result->stats.records_fetched += source.records_fetched();
-    result->stats.docs_evaluated++;
-    const xpath::QuickXScanStats& ss = scan.stats();
-    result->stats.scan_events += ss.events;
-    result->stats.scan_instances += ss.instances_created;
-    result->stats.scan_peak_live =
-        std::max(result->stats.scan_peak_live, ss.peak_live_instances);
-    for (ResultNode& r : hits) result->nodes.push_back(std::move(r));
-  }
-  return Status::OK();
-}
-
-Status Collection::EvalDocsParallel(Transaction* txn,
-                                    const std::vector<uint64_t>& docs,
-                                    const std::vector<query::WorkRange>& ranges,
-                                    size_t parallelism,
-                                    const xpath::QueryTree* tree,
-                                    NodeLocator* locator,
-                                    QueryResult* result) {
-  // Doc locks first, all on this thread (see RecheckAnchors for why).
-  if (txn != nullptr)
-    for (uint64_t doc_id : docs) XDB_RETURN_NOT_OK(ReadLockDoc(txn, doc_id));
-  std::vector<QueryResult> chunks(ranges.size());
-  std::vector<Status> chunk_status(ranges.size());
-  // See RecheckAnchors: carry the query's wait scope onto pool threads.
-  obs::WaitStats* query_waits = obs::QueryWaitScope::current();
-  engine_->query_pool()->ParallelFor(
-      ranges.size(), parallelism, [&](size_t i) {
-        obs::QueryWaitScope chunk_scope(query_waits);
-        chunk_status[i] =
-            EvalDocRange(nullptr, docs, ranges[i].begin, ranges[i].end, tree,
-                         locator, &chunks[i]);
-      });
-  // Merge in chunk order: chunk i holds exactly the results the serial loop
-  // would have appended for docs[ranges[i]], so concatenation reproduces the
-  // serial sequence. The lowest-index chunk's error wins, like a serial
-  // loop stopping at the first failure.
-  for (const Status& st : chunk_status) XDB_RETURN_NOT_OK(st);
-  for (QueryResult& c : chunks) {
-    result->stats.records_fetched += c.stats.records_fetched;
-    result->stats.docs_evaluated += c.stats.docs_evaluated;
-    result->stats.scan_events += c.stats.scan_events;
-    result->stats.scan_instances += c.stats.scan_instances;
-    result->stats.scan_peak_live =
-        std::max(result->stats.scan_peak_live, c.stats.scan_peak_live);
-    for (ResultNode& r : c.nodes) result->nodes.push_back(std::move(r));
-  }
-  return Status::OK();
+  engine_->slow_queries()->Record(rec);
 }
 
 Status Collection::GuardRepair() const {

@@ -5,6 +5,7 @@
 #ifndef XDB_ENGINE_COLLECTION_H_
 #define XDB_ENGINE_COLLECTION_H_
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -34,6 +35,9 @@
 
 namespace xdb {
 
+namespace obs {
+struct WaitStats;
+}  // namespace obs
 namespace xpath {
 class QueryTree;
 }  // namespace xpath
@@ -65,6 +69,16 @@ struct QueryStats {
   uint64_t scan_peak_live = 0;    // max live instances in any one scan
   bool rechecked = false;
   std::string explain;
+
+  /// Adds another partial evaluation's work (one parallel chunk's) to this
+  /// one: the evaluate stage's single stats merge.
+  void Merge(const QueryStats& other) {
+    docs_evaluated += other.docs_evaluated;
+    records_fetched += other.records_fetched;
+    scan_events += other.scan_events;
+    scan_instances += other.scan_instances;
+    scan_peak_live = std::max(scan_peak_live, other.scan_peak_live);
+  }
 };
 
 struct QueryResult {
@@ -91,10 +105,6 @@ struct QueryOptions {
   /// Implies explain; additionally records per-step trace lines (index probe
   /// details, candidate lists) into profile.trace_lines.
   bool trace = false;
-  /// Plan with the Section 4.3 rules even when collected statistics are
-  /// available, and bypass the plan cache. Differential testing uses this to
-  /// check that cost-based and heuristic plans return identical answers.
-  bool use_heuristic_planner = false;
   /// Freshness bound for replica reads: the query only runs once the
   /// engine's applied-CSN watermark reaches this value, waiting at most
   /// freshness_timeout_us and failing with kStale otherwise. 0 (default)
@@ -105,11 +115,6 @@ struct QueryOptions {
   /// Microseconds WaitForFreshness may block for min_csn (0 = fail
   /// immediately when the replica is behind).
   uint64_t freshness_timeout_us = 0;
-};
-
-/// Plan plus planner narration — what Plan() hands to the executor.
-struct QueryPlanExec {
-  query::QueryPlan plan;
 };
 
 /// Per-collection outcome of Engine::Scrub() — what was scanned, what was
@@ -207,16 +212,14 @@ class Collection {
     return DropIndex(IndexKind::kStructural, name);
   }
 
-  /// Evaluates an XPath query over the collection. Compiled plans are served
-  /// from the per-collection plan cache when enabled (keyed by query text,
-  /// force mode, want_values and the stats epoch); a hit skips parsing,
-  /// planning and QueryTree compilation entirely.
+  /// Evaluates an XPath query over the collection: the one read entry point.
+  /// Compiled plans are served from the per-collection plan cache when
+  /// enabled (keyed by query text, force mode, want_values and the stats
+  /// epoch); a hit skips parsing, planning and QueryTree compilation
+  /// entirely. Plans are cost-based while the collected statistics are
+  /// valid and follow the Section 4.3 rules otherwise.
   Result<QueryResult> Query(Transaction* txn, Slice xpath,
                             const QueryOptions& options = {});
-  /// Like Query but for an already-parsed path; never consults the cache.
-  Result<QueryResult> ExecutePath(Transaction* txn, const xpath::Path& path,
-                                  const QueryOptions& options)
-      XDB_EXCLUDES(latch_);
 
   Result<std::vector<uint64_t>> ListDocIds() XDB_EXCLUDES(latch_);
   Result<uint64_t> DocCount() XDB_EXCLUDES(latch_);
@@ -297,66 +300,102 @@ class Collection {
                                std::vector<Rid>* out) XDB_REQUIRES(latch_);
 
   /// Compiles one execution-ready plan for `path`: plans (cost-based when
-  /// stats are valid and use_heuristic_planner is off), compiles the full
-  /// QueryTree, and for node-level plans also the recheck residual tree and
-  /// prefix pattern. The returned plan is immutable and shareable (this is
-  /// what the plan cache stores).
+  /// stats are valid), compiles the full QueryTree, and for node-level plans
+  /// also the recheck residual tree and prefix pattern. The returned plan is
+  /// immutable and shareable (this is what the plan cache stores).
   Result<std::shared_ptr<const query::CompiledPlan>> CompileForExecution(
       xpath::Path&& path, const QueryOptions& options) XDB_EXCLUDES(latch_);
 
-  /// Runs a compiled plan. `cache_state` ("hit"/"miss"/"off") is surfaced in
-  /// EXPLAIN; `plan_wall_us` is the planning time to attribute (0 on a cache
-  /// hit). When the plan's index-structure version no longer matches (an
-  /// index was dropped or the storage rebuilt since compile), sets
-  /// *plan_stale and fails — callers replan and retry; the stale check is
-  /// what distinguishes this from other kBusy failures (pinned buffer
-  /// frames), which must NOT be retried with a fresh plan.
+  /// How a compiled plan reached execution: the plan-cache state surfaced in
+  /// EXPLAIN ("hit"/"miss"/"off") and the planning time to attribute (zero
+  /// on a cache hit; CPU is measured for profiled queries only).
+  struct PlanTiming {
+    const char* cache_state = "off";
+    uint64_t wall_us = 0;
+    uint64_t cpu_us = 0;
+  };
+
+  /// What a candidate stage hands the evaluate stage: DocIDs QuickXScan
+  /// evaluates whole (scan and doc-level index plans), or node anchors the
+  /// residual rechecks (node-level and structural plans). Either list is in
+  /// DocID order.
+  struct Candidates {
+    bool node_level = false;
+    std::vector<uint64_t> docs;
+    std::vector<Posting> anchors;
+  };
+
+  /// Runs a compiled plan: one candidate stage chosen by the access method,
+  /// then the evaluate stage, then the always-on accounting. When the plan's
+  /// index-structure version no longer matches (an index was dropped or the
+  /// storage rebuilt since compile), sets *plan_stale and fails — Query
+  /// replans and retries; the stale check is what distinguishes this from
+  /// other kBusy failures (pinned buffer frames), which must NOT be retried
+  /// with a fresh plan.
   Result<QueryResult> ExecuteCompiled(Transaction* txn,
                                       const query::CompiledPlan& cp,
                                       const QueryOptions& options,
-                                      const char* cache_state,
-                                      uint64_t plan_wall_us, bool* plan_stale)
+                                      const PlanTiming& timing,
+                                      bool* plan_stale) XDB_EXCLUDES(latch_);
+
+  // --- candidate sources, one per access-method family ---
+  /// Full scan: every stored DocID.
+  Status ScanCandidates(QueryResult* result, Candidates* out)
+      XDB_EXCLUDES(latch_);
+  /// Value-index probes, then a DocID-list merge (doc-level plans) or
+  /// anchoring at the predicate step (node-level plans).
+  Status ProbeCandidates(const query::CompiledPlan& cp, QueryResult* result,
+                         Candidates* out, bool* plan_stale)
+      XDB_EXCLUDES(latch_);
+  /// Structural scan: the anchor element's interval entries are the anchors.
+  Status StructuralCandidates(const query::CompiledPlan& cp,
+                              QueryResult* result, Candidates* out,
+                              bool* plan_stale) XDB_EXCLUDES(latch_);
+  /// The probe phase both index sources share: under one shared latch and
+  /// the index_version_ gate, every planned value probe (one posting list
+  /// each) and the plan's structural scan, if any.
+  Status ProbeIndexes(const query::CompiledPlan& cp, QueryResult* result,
+                      std::vector<std::vector<Posting>>* per_probe,
+                      std::vector<Posting>* structural, bool* plan_stale)
       XDB_EXCLUDES(latch_);
 
-  Status RecheckAnchors(Transaction* txn,
-                        const xpath::QueryTree* residual_tree,
-                        const xpath::Path& prefix_pattern,
-                        const std::vector<Posting>& anchors,
-                        const QueryOptions& options, NodeLocator* locator,
-                        QueryResult* result) XDB_EXCLUDES(latch_);
-
-  /// Effective thread count for one query: options.parallelism, falling back
-  /// to the engine default, clamped to 1 when the engine has no pool.
-  int EffectiveParallelism(const QueryOptions& options) const;
-
-  /// Evaluates QuickXScan over `docs[begin, end)` serially, appending
-  /// matches to `result` in list order. A non-null `txn` S-locks each doc
-  /// first (the serial executor); the parallel executor pre-locks on the
-  /// caller's thread and passes null. Takes latch_ shared per document.
-  Status EvalDocRange(Transaction* txn, const std::vector<uint64_t>& docs,
-                      size_t begin, size_t end, const xpath::QueryTree* tree,
-                      NodeLocator* locator, QueryResult* result)
-      XDB_EXCLUDES(latch_);
-
-  /// Fans EvalDocRange out over the engine's query pool (one task per chunk
-  /// from query::PartitionForParallelism) and merges per-chunk results in
-  /// chunk order, reproducing the serial append order exactly. Doc S-locks
-  /// are all taken on the calling thread first (the transaction's lock table
-  /// is not thread-safe, and the locks are held to commit anyway). Returns
-  /// the lowest-index chunk's error when any chunk fails.
-  Status EvalDocsParallel(Transaction* txn, const std::vector<uint64_t>& docs,
-                          const std::vector<query::WorkRange>& ranges,
-                          size_t parallelism, const xpath::QueryTree* tree,
-                          NodeLocator* locator, QueryResult* result)
+  /// The evaluate stage: S-locks the candidates' documents on this thread
+  /// (`lock_txn` null for snapshot reads), then evaluates every candidate
+  /// under the shared latch — the full QueryTree per document, or the
+  /// prefix check plus residual per anchor — fanned out over the query pool
+  /// when the list is big enough, and normalizes the result sequence.
+  Status EvaluateCandidates(Transaction* lock_txn,
+                            const query::CompiledPlan& cp,
+                            const QueryOptions& options, NodeLocator* locator,
+                            const Candidates& cands, QueryResult* result)
       XDB_EXCLUDES(latch_);
 
   /// One anchor's recheck: verifies the anchor path against the main-path
   /// prefix, then evaluates the residual tree over the anchor subtree.
   /// Benign misses (invisible at snapshot, stale posting) return OK with no
   /// output. The anchor's doc lock must already be held.
-  Status EvalAnchor(const Posting& anchor, const xpath::QueryTree* residual,
-                    const xpath::Path& prefix_pattern, NodeLocator* locator,
-                    QueryResult* result) XDB_EXCLUDES(latch_);
+  Status EvalAnchor(const Posting& anchor, const query::CompiledPlan& cp,
+                    NodeLocator* locator, QueryResult* result)
+      XDB_REQUIRES_SHARED(latch_);
+
+  /// Runs QuickXScan with `tree` over one stored document (or, with a
+  /// non-empty `subtree_root`, one subtree) and adds its matches and work
+  /// counters to `result`. kNotFound means the document or node is not
+  /// visible to this read; the caller skips it.
+  Status RunScan(const xpath::QueryTree* tree, uint64_t doc_id,
+                 std::string subtree_root, NodeLocator* locator,
+                 QueryResult* result) XDB_REQUIRES_SHARED(latch_);
+
+  /// Profile header of an EXPLAIN/trace query: the plan and its inputs.
+  void BeginProfile(const query::CompiledPlan& cp, const PlanTiming& timing,
+                    bool trace, obs::QueryProfile* prof) const;
+  /// The epilogue every execution runs: always-on metrics, the profile's
+  /// counters, totals and waits (when enabled) and slow-query capture.
+  /// `exec_cpu_us` is the issuing thread's execution CPU (profiled only).
+  void FinishQuery(const query::CompiledPlan& cp, const PlanTiming& timing,
+                   uint64_t exec_wall_us, uint64_t exec_cpu_us,
+                   uint64_t pages_before, const obs::WaitStats& waits,
+                   QueryResult* result);
 
   /// The one secondary-index DDL path. ddl_mu_ spans the mutation AND its
   /// WAL record, so a concurrent create and drop of one index can never log

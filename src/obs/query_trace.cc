@@ -24,13 +24,7 @@ void Appendf(std::string* out, const char* fmt, ...) {
   if (n > 0) out->append(buf, std::min<size_t>(static_cast<size_t>(n),
                                                sizeof(buf) - 1));
 }
-
-uint64_t ThreadCpuMicros() {
-  struct timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
-  return static_cast<uint64_t>(ts.tv_sec) * 1000000ull +
-         static_cast<uint64_t>(ts.tv_nsec) / 1000;
-}
+}  // namespace
 
 uint64_t WallMicros() {
   return static_cast<uint64_t>(
@@ -38,7 +32,13 @@ uint64_t WallMicros() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-}  // namespace
+
+uint64_t ThreadCpuMicros() {
+  struct timespec ts;
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
+  return static_cast<uint64_t>(ts.tv_sec) * 1000000ull +
+         static_cast<uint64_t>(ts.tv_nsec) / 1000;
+}
 
 std::string QueryProfile::PlanText() const {
   std::string out;

@@ -29,8 +29,8 @@ struct QueryPhase {
 };
 
 /// Everything EXPLAIN/trace knows about one execution. Filled by
-/// Collection::ExecutePath when enabled; always default-constructed (cheap)
-/// when not.
+/// Collection::Query when enabled; always default-constructed (cheap) when
+/// not.
 struct QueryProfile {
   bool enabled = false;  // explain requested: plan + counters populated
   bool trace = false;    // trace requested: per-step trace_lines too
@@ -111,6 +111,12 @@ struct QueryProfile {
   /// PlanText() plus timings, pages fetched, and trace lines.
   std::string ToText() const;
 };
+
+/// Monotonic wall clock (steady_clock), in microseconds.
+uint64_t WallMicros();
+/// CPU time the calling thread has used (CLOCK_THREAD_CPUTIME_ID), in
+/// microseconds; 0 when the clock is unavailable.
+uint64_t ThreadCpuMicros();
 
 /// Scoped wall+CPU timer appending one QueryPhase on destruction (or Stop()).
 /// CPU time is the calling thread's CLOCK_THREAD_CPUTIME_ID, so phases that

@@ -11,12 +11,29 @@ namespace query {
 
 namespace {
 
+// Whether an index of `type` answers the comparison exactly as the
+// evaluators do. They compare numerically when the literal is a number or
+// the operator is relational, and by string equality otherwise. So a string
+// index serves only `=` against a string literal, and a numeric index only
+// numeric comparisons. A date index serves none: no comparison evaluates
+// values as dates.
+bool ServesComparison(ValueType type, const CandidatePredicate& cand) {
+  const bool eq = cand.op == xpath::CompOp::kEq;
+  if (type == ValueType::kString) return eq && !cand.literal_is_number;
+  const bool numeric = cand.literal_is_number ||
+                       (!eq && cand.op != xpath::CompOp::kNe);
+  return numeric &&
+         (type == ValueType::kDouble || type == ValueType::kDecimal);
+}
+
 // Best usable index for one candidate: exact match preferred over
-// containment; the literal must be encodable with the index's type.
+// containment; the index must serve the comparison's type domain and the
+// literal must be encodable with the index's type.
 PlannedProbe MatchIndexes(const CandidatePredicate& cand,
                           const std::vector<ValueIndex*>& indexes) {
   PlannedProbe best;
   for (ValueIndex* idx : indexes) {
+    if (!ServesComparison(idx->def().type, cand)) continue;
     auto path_res = xpath::ParsePath(idx->def().path);
     if (!path_res.ok()) continue;
     xpath::IndexMatch match =

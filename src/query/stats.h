@@ -158,7 +158,11 @@ class CollectionStats {
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
   bool valid() const { return valid_.load(std::memory_order_acquire); }
   /// Degrade to heuristic costing (stats file missing or stale at open).
-  void Invalidate() { valid_.store(false, std::memory_order_release); }
+  /// Bumps the epoch, so cost-based plans cached before it retire.
+  void Invalidate() {
+    valid_.store(false, std::memory_order_release);
+    Bump();
+  }
 
   /// Copies everything under the leaf mutex. Cheap: a handful of counters
   /// plus <= kSketchSize sample keys per index.

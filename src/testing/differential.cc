@@ -127,14 +127,18 @@ std::string CompareEnginesCounted(const std::string& doc,
     bool unindexable = false;
     if (query::ExtractCandidates(path, &cands, &unindexable).ok()) {
       int n = 0;
+      // A string and a double index per candidate path, the string one
+      // first, so the planner is always offered an index of the wrong type
+      // domain before the right one. Unsupported index paths simply leave
+      // the plan to fall back.
       for (const auto& cand : cands) {
-        ValueIndexDef def;
-        def.name = "vi" + std::to_string(n++);
-        def.path = cand.full_path.ToString();
-        def.type = cand.literal_is_number ? ValueType::kDouble
-                                          : ValueType::kString;
-        // Unsupported index paths simply leave the plan to fall back.
-        (void)coll->CreateValueIndex(def);
+        for (ValueType type : {ValueType::kString, ValueType::kDouble}) {
+          ValueIndexDef def;
+          def.name = "vi" + std::to_string(n++);
+          def.path = cand.full_path.ToString();
+          def.type = type;
+          (void)coll->CreateValueIndex(def);
+        }
       }
     }
   }
@@ -154,9 +158,9 @@ std::string CompareEnginesCounted(const std::string& doc,
 
   // Seven planner flavors: the five force modes (structural included), the
   // cost-based auto plan re-run so the second execution is served from the
-  // compiled-plan cache, and the forced Section 4.3 heuristic. Any stats-,
-  // cache- or interval-induced divergence from the DOM reference surfaces
-  // here.
+  // compiled-plan cache, and the Section 4.3 heuristic (auto planning over
+  // invalidated statistics). Any stats-, cache- or interval-induced
+  // divergence from the DOM reference surfaces here.
   static const ForceMethod kForces[] = {
       ForceMethod::kAuto,       ForceMethod::kScan,
       ForceMethod::kDocIdList,  ForceMethod::kNodeIdList,
@@ -169,7 +173,8 @@ std::string CompareEnginesCounted(const std::string& doc,
   for (size_t f = 0; f < 7; f++) {
     QueryOptions qo;
     qo.force = kForces[f];
-    qo.use_heuristic_planner = (f == 6);
+    // The heuristic flavor runs last: invalidated statistics stay invalid.
+    if (f == 6) coll->stats()->Invalidate();
     auto res_r = coll->Query(nullptr, query, qo);
     if (!res_r.ok())
       return std::string(kForceNames[f]) +

@@ -12,9 +12,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "engine/engine.h"
+#include "query/access_path.h"
 #include "repl/replica_applier.h"
 #include "repl/ship_transport.h"
 #include "repl/wal_shipper.h"
@@ -175,9 +178,12 @@ TEST(DifferentialTest, HandPickedAdversarialCases) {
 
 // The same query over the same multi-document collection, parallelism=1 vs
 // parallelism=8, must produce byte-identical (doc_id, node_id, string_value)
-// sequences. The executor evaluates contiguous candidate chunks on worker
-// threads and merges them in chunk order before normalization, so any
-// divergence here is an executor bug, not nondeterminism to tolerate.
+// sequences and identical work counters. The executor evaluates contiguous
+// candidate chunks (documents or node anchors) on worker threads and merges
+// them in chunk order before normalization, so any divergence here is an
+// executor bug, not nondeterminism to tolerate. Value indexes over the
+// generated predicates and an all-names structural index give every force
+// mode real candidates: doc lists, anchored postings and interval scans.
 TEST(DifferentialTest, ParallelExecutionMatchesSerial) {
   EngineOptions eopts;
   eopts.in_memory = true;
@@ -187,6 +193,32 @@ TEST(DifferentialTest, ParallelExecutionMatchesSerial) {
   Collection* coll = engine->CreateCollection("diff").value();
 
   DiffOptions opts;
+  std::vector<std::string> queries;
+  for (uint64_t qseed = 1; qseed <= 60; qseed++)
+    queries.push_back(GenCase(flags()->base_seed + 1000 + qseed, opts).query);
+  std::set<std::string> indexed;
+  for (const std::string& q : queries) {
+    auto path = xpath::ParsePath(q);
+    std::vector<query::CandidatePredicate> cands;
+    bool unindexable = false;
+    if (!path.ok() ||
+        !query::ExtractCandidates(path.value(), &cands, &unindexable).ok())
+      continue;
+    for (const auto& cand : cands) {
+      const std::string index_path = cand.full_path.ToString();
+      if (!indexed.insert(index_path).second) continue;
+      for (ValueType type : {ValueType::kString, ValueType::kDouble}) {
+        ValueIndexDef def;
+        def.name = "vi" + std::to_string(indexed.size()) +
+                   ValueTypeName(type);
+        def.path = index_path;
+        def.type = type;
+        // Unsupported index paths simply leave the plan to fall back.
+        (void)coll->CreateValueIndex(def);
+      }
+    }
+  }
+  ASSERT_TRUE(coll->CreateStructuralIndex({"structure", ""}).ok());
   constexpr uint64_t kDocs = 32;
   for (uint64_t seed = 1; seed <= kDocs; seed++) {
     DiffCase c = GenCase(flags()->base_seed + seed, opts);
@@ -195,11 +227,13 @@ TEST(DifferentialTest, ParallelExecutionMatchesSerial) {
   }
 
   // The generated queries share the generators' tag alphabet, so they hit a
-  // varying subset of the 32 documents — small sets take the serial
-  // fallback, large ones the parallel path; both must agree.
-  constexpr ForceMethod kForces[] = {ForceMethod::kAuto, ForceMethod::kScan};
-  for (uint64_t qseed = 1; qseed <= 60; qseed++) {
-    DiffCase c = GenCase(flags()->base_seed + 1000 + qseed, opts);
+  // varying subset of the 32 documents — small candidate sets take the
+  // serial fallback, large ones the parallel path; both must agree.
+  constexpr ForceMethod kForces[] = {
+      ForceMethod::kAuto, ForceMethod::kScan, ForceMethod::kDocIdList,
+      ForceMethod::kNodeIdList, ForceMethod::kStructural};
+  size_t parallel_anchor_runs = 0;
+  for (const std::string& q : queries) {
     for (ForceMethod force : kForces) {
       QueryOptions serial;
       serial.force = force;
@@ -207,27 +241,41 @@ TEST(DifferentialTest, ParallelExecutionMatchesSerial) {
       serial.parallelism = 1;
       QueryOptions par = serial;
       par.parallelism = 8;
-      auto rs = coll->Query(nullptr, c.query, serial);
-      auto rp = coll->Query(nullptr, c.query, par);
+      auto rs = coll->Query(nullptr, q, serial);
+      auto rp = coll->Query(nullptr, q, par);
+      const std::string where =
+          "query " + q + " force " + std::to_string(static_cast<int>(force));
       ASSERT_EQ(rs.ok(), rp.ok())
-          << "query " << c.query << " serial=" << rs.status().ToString()
+          << where << " serial=" << rs.status().ToString()
           << " parallel=" << rp.status().ToString();
       if (!rs.ok()) continue;
+      if (rp.value().profile.chunks > 1 &&
+          rp.value().stats.candidate_anchors > 0)
+        parallel_anchor_runs++;
       const NodeSequence& a = rs.value().nodes;
       const NodeSequence& b = rp.value().nodes;
-      ASSERT_EQ(a.size(), b.size()) << "query " << c.query;
+      ASSERT_EQ(a.size(), b.size()) << where;
       for (size_t i = 0; i < a.size(); i++) {
-        ASSERT_EQ(a[i].doc_id, b[i].doc_id)
-            << "query " << c.query << " position " << i;
-        ASSERT_EQ(a[i].node_id, b[i].node_id)
-            << "query " << c.query << " position " << i;
+        ASSERT_EQ(a[i].doc_id, b[i].doc_id) << where << " position " << i;
+        ASSERT_EQ(a[i].node_id, b[i].node_id) << where << " position " << i;
         ASSERT_EQ(a[i].string_value, b[i].string_value)
-            << "query " << c.query << " position " << i;
+            << where << " position " << i;
       }
-      EXPECT_EQ(rs.value().stats.docs_evaluated, rp.value().stats.docs_evaluated)
-          << "query " << c.query;
+      const QueryStats& x = rs.value().stats;
+      const QueryStats& y = rp.value().stats;
+      EXPECT_EQ(x.method, y.method) << where;
+      EXPECT_EQ(x.index_postings, y.index_postings) << where;
+      EXPECT_EQ(x.candidate_docs, y.candidate_docs) << where;
+      EXPECT_EQ(x.candidate_anchors, y.candidate_anchors) << where;
+      EXPECT_EQ(x.docs_evaluated, y.docs_evaluated) << where;
+      EXPECT_EQ(x.records_fetched, y.records_fetched) << where;
+      EXPECT_EQ(x.scan_events, y.scan_events) << where;
+      EXPECT_EQ(x.scan_instances, y.scan_instances) << where;
+      EXPECT_EQ(x.scan_peak_live, y.scan_peak_live) << where;
     }
   }
+  // The anchor fan-out really ran, not only the serial fallback.
+  EXPECT_GT(parallel_anchor_runs, 0u);
 }
 
 // --- plan-cache transparency: cached plans must change nothing but time ---

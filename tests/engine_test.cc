@@ -572,6 +572,51 @@ TEST(EngineTest, DecimalIndexProbesMatchScanForFractionalLiterals) {
   }
 }
 
+// An index answers a comparison only in the evaluators' type domain: a
+// number literal or a relational operator compares numerically, `=` against
+// a string literal compares strings. A string index asked `p = 7` would miss
+// "7.0", and asked `p > 10` would order "7.0" after "10"; a double index
+// asked `q = "7"` would match "7.0". Every plan must give the scan's answer.
+TEST(EngineTest, ValueIndexProbesRespectComparisonTypeDomain) {
+  auto engine = MemEngine();
+  Collection* coll = engine->CreateCollection("docs").value();
+  ASSERT_TRUE(
+      coll->CreateValueIndex({"p", "/r/p", ValueType::kString, 64}).ok());
+  ASSERT_TRUE(
+      coll->CreateValueIndex({"q", "/r/q", ValueType::kDouble, 64}).ok());
+  ASSERT_TRUE(
+      coll->InsertDocument(nullptr, "<r><p>7.0</p><q>7.0</q></r>").ok());
+  ASSERT_TRUE(coll->InsertDocument(nullptr, "<r><p>12</p><q>12</q></r>").ok());
+  const struct {
+    const char* query;
+    size_t results;
+  } kCases[] = {{"/r[p = 7]", 1},       {"/r[p > 10]", 1},
+                {"/r[p = \"7.0\"]", 1}, {"/r[q = \"7\"]", 0},
+                {"/r[q = 7]", 1},       {"/r[q > 10]", 1}};
+  for (const auto& c : kCases) {
+    QueryOptions scan_o;
+    scan_o.force = ForceMethod::kScan;
+    auto scan = coll->Query(nullptr, c.query, scan_o);
+    ASSERT_TRUE(scan.ok()) << c.query << ": " << scan.status().ToString();
+    ASSERT_EQ(scan.value().nodes.size(), c.results) << c.query;
+    for (ForceMethod m : {ForceMethod::kAuto, ForceMethod::kDocIdList,
+                          ForceMethod::kNodeIdList}) {
+      QueryOptions o;
+      o.force = m;
+      auto res = coll->Query(nullptr, c.query, o);
+      ASSERT_TRUE(res.ok()) << c.query << ": " << res.status().ToString();
+      const NodeSequence& got = res.value().nodes;
+      const NodeSequence& want = scan.value().nodes;
+      ASSERT_EQ(got.size(), want.size())
+          << c.query << " force=" << static_cast<int>(m);
+      for (size_t i = 0; i < got.size(); i++) {
+        EXPECT_EQ(got[i].doc_id, want[i].doc_id) << c.query;
+        EXPECT_EQ(got[i].node_id, want[i].node_id) << c.query;
+      }
+    }
+  }
+}
+
 TEST_F(SubtreeOpsTest, MultiRecordSubtreeInsertAndDelete) {
   uint64_t doc =
       coll_->InsertDocument(nullptr, "<root><keep>stay</keep></root>").value();
@@ -909,31 +954,8 @@ TEST(ExplainTest, IndexAndingPlanGolden) {
                       nullptr,
                       "<cat><p><price>8</price><qty>5</qty></p></cat>")
                   .ok());
-  // Forced heuristic planning pins the Section 4.3 rule text and the probe
-  // line format (and bypasses the plan cache, hence "off"). The cost-based
-  // choice on this tiny collection is covered by planner_test.cc.
-  QueryOptions o;
-  o.explain = true;
-  o.use_heuristic_planner = true;
-  auto res =
-      coll->Query(nullptr, "/cat/p[price = 10 and qty = 5]", o).MoveValue();
-  ASSERT_EQ(res.nodes.size(), 1u);
-  EXPECT_EQ(res.profile.PlanText(),
-            "query: /cat/p[price = 10.000000 and qty = 5.000000]\n"
-            "access path: docid-anding/oring (avg records/doc 1.00 <= 2.00)\n"
-            "  probe: /cat/p/qty = ... index 'qty' (exact)\n"
-            "  probe: /cat/p/price = ... index 'price' (exact)\n"
-            "  combine: ANDing\n"
-            "stats: epoch=5 docs=3 records/doc=1.00 nodes/doc=6.00"
-            " (heuristic)\n"
-            "plan cache: off\n"
-            "recheck: no\n"
-            "cardinality: postings=4 candidate_docs=1 candidate_anchors=0"
-            " docs_evaluated=1 records_fetched=1 results=1\n"
-            "scan: events=12 instances=5 peak_live=4\n"
-            "parallelism: 1 (chunks=1)\n");
   // The cost-based planner, seeing only 3 documents, prices the full scan
-  // below two index descends and flips the plan — same answer either way.
+  // below two index descends and picks it.
   QueryOptions auto_o;
   auto_o.explain = true;
   auto auto_res =
@@ -943,6 +965,30 @@ TEST(ExplainTest, IndexAndingPlanGolden) {
   EXPECT_EQ(auto_res.profile.access_method, "full-scan");
   EXPECT_TRUE(auto_res.profile.stats_valid);
   EXPECT_NE(auto_res.profile.reason.find("cost:"), std::string::npos);
+  // Invalidated statistics leave the Section 4.3 rules, which pin the rule
+  // text and the probe line format. The invalidation bumps the stats epoch,
+  // so the cached cost-based plan retires and this is a cache miss; without
+  // valid statistics there is no nodes/doc figure. Same answer either way.
+  coll->stats()->Invalidate();
+  QueryOptions o;
+  o.explain = true;
+  auto res =
+      coll->Query(nullptr, "/cat/p[price = 10 and qty = 5]", o).MoveValue();
+  ASSERT_EQ(res.nodes.size(), 1u);
+  EXPECT_EQ(res.profile.PlanText(),
+            "query: /cat/p[price = 10.000000 and qty = 5.000000]\n"
+            "access path: docid-anding/oring (avg records/doc 1.00 <= 2.00)\n"
+            "  probe: /cat/p/qty = ... index 'qty' (exact)\n"
+            "  probe: /cat/p/price = ... index 'price' (exact)\n"
+            "  combine: ANDing\n"
+            "stats: epoch=6 docs=3 records/doc=1.00 nodes/doc=0.00"
+            " (heuristic)\n"
+            "plan cache: miss\n"
+            "recheck: no\n"
+            "cardinality: postings=4 candidate_docs=1 candidate_anchors=0"
+            " docs_evaluated=1 records_fetched=1 results=1\n"
+            "scan: events=12 instances=5 peak_live=4\n"
+            "parallelism: 1 (chunks=1)\n");
 }
 
 // trace=true implies explain and adds per-step trace lines.
@@ -972,6 +1018,39 @@ TEST(ExplainTest, TraceAddsStepLines) {
 
 // Plain queries must not pay for profiling: the profile stays disabled and
 // empty, while the always-on engine counters still tick.
+// EXPLAIN's plan and total phases carry measured thread CPU. Planning is a
+// few tens of microseconds, so 50 plan misses must add up to more than zero,
+// and no phase may report more CPU than wall time (1 ms of clock slack).
+TEST(ExplainTest, PlanAndTotalPhasesMeasureCpu) {
+  auto engine = MemEngine();
+  Collection* coll = engine->CreateCollection("docs").value();
+  ASSERT_TRUE(coll->CreateValueIndex(
+                      {"price", "/cat/p/price", ValueType::kDouble, 128})
+                  .ok());
+  for (int i = 0; i < 8; i++)
+    ASSERT_TRUE(coll->InsertDocument(nullptr, "<cat><p><price>" +
+                                                  std::to_string(i) +
+                                                  "</price></p></cat>")
+                    .ok());
+  QueryOptions o;
+  o.explain = true;
+  uint64_t plan_cpu_us = 0;
+  for (int i = 0; i < 50; i++) {
+    // A distinct query text per run: every one is a plan-cache miss.
+    auto res = coll->Query(nullptr,
+                           "/cat/p[price = " + std::to_string(i) + "]", o)
+                   .MoveValue();
+    ASSERT_EQ(res.profile.plan_cache, "miss");
+    ASSERT_FALSE(res.profile.phases.empty());
+    EXPECT_EQ(res.profile.phases.front().name, "plan");
+    EXPECT_EQ(res.profile.phases.back().name, "total");
+    plan_cpu_us += res.profile.phases.front().cpu_us;
+    for (const obs::QueryPhase& ph : res.profile.phases)
+      EXPECT_LE(ph.cpu_us, ph.wall_us + 1000) << ph.name;
+  }
+  EXPECT_GT(plan_cpu_us, 0u);
+}
+
 TEST(ExplainTest, DisabledByDefault) {
   auto engine = MemEngine();
   Collection* coll = engine->CreateCollection("docs").value();

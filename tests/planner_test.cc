@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "engine/engine.h"
 #include "leak_check.h"
@@ -246,9 +247,9 @@ TEST(PlannerCrossoverTest, StructuralIndexFlipsScanForSelectiveDescendant) {
 
   // The heuristic planner predates the cost model and stays conservative:
   // it never chooses the structural path on its own.
+  coll->stats()->Invalidate();
   QueryOptions heur;
   heur.explain = true;
-  heur.use_heuristic_planner = true;
   auto h = coll->Query(nullptr, "//t", heur);
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(h.value().profile.access_method, "full-scan");
@@ -340,15 +341,23 @@ TEST(PlannerCrossoverTest, CostBasedAndHeuristicAgree) {
                   .ok());
   for (int i = 0; i < 25; i++)
     ASSERT_TRUE(coll->InsertDocument(nullptr, BookDoc(i % 7)).ok());
-  for (const char* q :
-       {"/lib/book[title = \"t1\"]", "/lib/book[title = \"t9\"]",
-        "/lib/book[title > \"t3\"]", "/lib/book/title"}) {
-    QueryOptions cost;
-    QueryOptions heur;
-    heur.use_heuristic_planner = true;
-    auto a = coll->Query(nullptr, q, cost);
-    auto b = coll->Query(nullptr, q, heur);
+  const char* const kQueries[] = {
+      "/lib/book[title = \"t1\"]", "/lib/book[title = \"t9\"]",
+      "/lib/book[title > \"t3\"]", "/lib/book/title"};
+  QueryOptions o;
+  o.explain = true;
+  std::vector<Result<QueryResult>> cost;
+  for (const char* q : kQueries) cost.push_back(coll->Query(nullptr, q, o));
+  // The equality probes are priced by the cost model.
+  EXPECT_TRUE(cost[0].value().profile.stats_valid);
+  // Invalidated statistics leave only the heuristic planner.
+  coll->stats()->Invalidate();
+  for (size_t qi = 0; qi < cost.size(); qi++) {
+    const char* q = kQueries[qi];
+    const Result<QueryResult>& a = cost[qi];
+    auto b = coll->Query(nullptr, q, o);
     ASSERT_TRUE(a.ok() && b.ok()) << q;
+    EXPECT_FALSE(b.value().profile.stats_valid) << q;
     ASSERT_EQ(a.value().nodes.size(), b.value().nodes.size()) << q;
     for (size_t i = 0; i < a.value().nodes.size(); i++) {
       EXPECT_EQ(a.value().nodes[i].doc_id, b.value().nodes[i].doc_id) << q;

@@ -393,23 +393,33 @@ TEST(PlanCacheTest, DisabledCacheReportsOffAndStoresNothing) {
   EXPECT_EQ(Counter(engine.get(), "query.plan_cache.misses"), 0u);
 }
 
-TEST(PlanCacheTest, HeuristicPlannerBypassesCache) {
+// Invalidating the collected statistics bumps the stats epoch: the plan
+// cached at the old epoch retires, and the replan is heuristic (and caches
+// like any other plan).
+TEST(PlanCacheTest, InvalidatedStatsRetireCachedPlans) {
   auto engine = CacheEngine(8);
   Collection* coll = engine->CreateCollection("c").value();
+  ASSERT_TRUE(
+      coll->CreateValueIndex({"b", "/a/b", ValueType::kDouble, 128}).ok());
   ASSERT_TRUE(coll->InsertDocument(nullptr, "<a><b>1</b></a>").ok());
   QueryOptions o;
   o.explain = true;
-  o.use_heuristic_planner = true;
-  EXPECT_EQ(coll->Query(nullptr, "/a/b", o).value().profile.plan_cache,
-            "off");
-  EXPECT_EQ(coll->plan_cache()->size(), 0u);
-  // The cost-based flavor of the same query caches normally afterwards.
-  QueryOptions cost;
-  cost.explain = true;
-  EXPECT_EQ(coll->Query(nullptr, "/a/b", cost).value().profile.plan_cache,
-            "miss");
-  EXPECT_EQ(coll->Query(nullptr, "/a/b", cost).value().profile.plan_cache,
+  auto first = coll->Query(nullptr, "/a[b = 1]", o).MoveValue();
+  EXPECT_EQ(first.profile.plan_cache, "miss");
+  EXPECT_TRUE(first.profile.stats_valid);
+  EXPECT_EQ(coll->Query(nullptr, "/a[b = 1]", o).value().profile.plan_cache,
             "hit");
+  const uint64_t epoch = coll->stats()->epoch();
+  coll->stats()->Invalidate();
+  EXPECT_EQ(coll->stats()->epoch(), epoch + 1);
+  auto replanned = coll->Query(nullptr, "/a[b = 1]", o).MoveValue();
+  EXPECT_EQ(replanned.profile.plan_cache, "miss");
+  EXPECT_FALSE(replanned.profile.stats_valid);
+  EXPECT_EQ(replanned.profile.stats_epoch, epoch + 1);
+  auto again = coll->Query(nullptr, "/a[b = 1]", o).MoveValue();
+  EXPECT_EQ(again.profile.plan_cache, "hit");
+  EXPECT_FALSE(again.profile.stats_valid);
+  EXPECT_EQ(again.nodes.size(), first.nodes.size());
 }
 
 }  // namespace
