@@ -522,39 +522,55 @@ Result<bool> BTree::Contains(Slice key) {
 
 Result<BtreeStats> BTree::ComputeStats() {
   BtreeStats stats;
-  // Walk levels: gather pages breadth-first.
+  XDB_RETURN_NOT_OK(ForEachPage([&](uint32_t depth, PageId, const char* p) {
+    stats.height = depth;
+    if (IsLeaf(p)) {
+      stats.leaf_pages++;
+      stats.entries += GetNumSlots(p);
+    } else {
+      stats.internal_pages++;
+    }
+    return Status::OK();
+  }));
+  return stats;
+}
+
+Status BTree::Destroy() {
+  std::vector<PageId> pages;
+  XDB_RETURN_NOT_OK(ForEachPage([&](uint32_t, PageId id, const char*) {
+    pages.push_back(id);
+    return Status::OK();
+  }));
+  for (PageId id : pages) XDB_RETURN_NOT_OK(bm_->FreePage(id));
+  root_ = kInvalidPageId;
+  return Status::OK();
+}
+
+Status BTree::ForEachPage(
+    const std::function<Status(uint32_t, PageId, const char*)>& visit) {
   std::vector<PageId> level{root_};
-  uint32_t height = 0;
-  while (!level.empty()) {
-    height++;
+  for (uint32_t depth = 1; !level.empty(); depth++) {
     std::vector<PageId> next;
-    bool leaf_level = false;
     for (PageId id : level) {
       XDB_ASSIGN_OR_RETURN(PageHandle page, bm_->FixPage(id));
       const char* p = page.data();
-      if (IsLeaf(p)) {
-        leaf_level = true;
-        stats.leaf_pages++;
-        stats.entries += GetNumSlots(p);
-      } else {
-        stats.internal_pages++;
-        next.push_back(GetLink(p));
-        uint16_t nslots = GetNumSlots(p);
-        for (uint16_t i = 0; i < nslots; i++) {
-          uint16_t off, len;
-          ReadSlot(p, i, &off, &len);
-          CellView cell;
-          if (!ParseCell(p, off, len, false, &cell))
-            return Status::Corruption("bad internal cell");
-          next.push_back(cell.child);
-        }
+      if (!IsLeaf(p) && static_cast<uint8_t>(p[0]) != kBtreeInternalPage)
+        return Status::Corruption("not a btree page");
+      XDB_RETURN_NOT_OK(visit(depth, id, p));
+      if (IsLeaf(p)) continue;
+      next.push_back(GetLink(p));
+      for (uint16_t i = 0; i < GetNumSlots(p); i++) {
+        uint16_t off, len;
+        ReadSlot(p, i, &off, &len);
+        CellView cell;
+        if (!ParseCell(p, off, len, false, &cell))
+          return Status::Corruption("bad internal cell");
+        next.push_back(cell.child);
       }
     }
-    if (leaf_level) break;
     level = std::move(next);
   }
-  stats.height = height;
-  return stats;
+  return Status::OK();
 }
 
 }  // namespace xdb

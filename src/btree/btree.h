@@ -10,6 +10,7 @@
 #define XDB_BTREE_BTREE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,6 +53,11 @@ class BTree {
   /// Walks the tree counting pages and entries (O(n); for reporting).
   Result<BtreeStats> ComputeStats();
 
+  /// Returns every page of the tree to the table space's free list; the
+  /// tree is unusable afterwards. The walk completes before the first page
+  /// is freed, so a tree with a damaged page frees nothing.
+  Status Destroy();
+
   /// Forward iterator over (key, value) pairs in composite order. The
   /// iterator pins one leaf page at a time; the tree must not be modified
   /// while an iterator is live.
@@ -92,6 +98,11 @@ class BTree {
 
   Status InsertRec(PageId page_id, Slice key, Slice value, SplitResult* out);
   Status SplitRoot(const SplitResult& split);
+  /// Visits every page level by level from the root (depth 1); kCorruption
+  /// on a page that is not a B+tree page.
+  Status ForEachPage(
+      const std::function<Status(uint32_t depth, PageId id, const char* page)>&
+          visit);
 
   BufferManager* bm_;
   PageId root_;

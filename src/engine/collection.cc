@@ -95,11 +95,15 @@ Status Collection::ReadLockDoc(Transaction* txn, uint64_t doc_id) {
   return engine_->locks()->LockDocument(txn->id, doc_id, LockMode::kS);
 }
 
-Status Collection::WriteLockDoc(Transaction* txn, uint64_t doc_id) {
-  return engine_->locks()->LockDocument(txn->id, doc_id, LockMode::kX);
+Status Collection::RequireDoc(uint64_t doc_id) {
+  XDB_ASSIGN_OR_RETURN(bool exists, docid_tree_->Contains(DocKey(doc_id)));
+  return exists ? Status::OK() : Status::NotFound("no such document");
 }
 
 Result<uint64_t> Collection::InsertDocument(Transaction* txn, Slice xml) {
+  // Guard before parsing: the parser interns names into the engine-wide
+  // dictionary, and a replica's dictionary must only grow from the WAL.
+  XDB_RETURN_NOT_OK(GuardWrite());
   Parser parser = engine_->MakeParser();
   TokenWriter tokens;
   XDB_RETURN_NOT_OK(parser.Parse(xml, &tokens));
@@ -115,28 +119,127 @@ Result<uint64_t> Collection::InsertDocument(Transaction* txn, Slice xml) {
 }
 
 Result<uint64_t> Collection::InsertTokens(Transaction* txn, Slice tokens) {
-  XDB_RETURN_NOT_OK(GuardWrite());
-  AutoTxn at(engine_, txn, IsolationMode::kLocking);
-  uint64_t doc_id;
-  {
-    MutexLock lock(docid_mu_);
-    doc_id = meta_.next_doc_id++;
-  }
-  Status st = [&]() -> Status {
-    XDB_RETURN_NOT_OK(WriteLockDoc(at.get(), doc_id));
-    XDB_RETURN_NOT_OK(engine_->LogInsert(meta_.name, doc_id, tokens));
-    XDB_ASSIGN_OR_RETURN(uint64_t got,
-                         InsertTokensLocked(at.get(), tokens, doc_id));
-    (void)got;
-    return Status::OK();
-  }();
-  XDB_RETURN_NOT_OK(at.Finish(st));
-  return doc_id;
+  DocWrite op{.kind = WalRecordType::kInsertDocument, .data = tokens};
+  XDB_RETURN_NOT_OK(Write(txn, &op));
+  return op.doc_id;
 }
 
-Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
-                                                uint64_t doc_id) {
-  WriterMutexLock latch(latch_);
+Status Collection::Write(Transaction* txn, DocWrite* op,
+                         std::string* new_id) {
+  XDB_RETURN_NOT_OK(GuardWrite());
+  AutoTxn at(engine_, txn, IsolationMode::kLocking);
+  const bool whole_doc = op->kind == WalRecordType::kInsertDocument ||
+                         op->kind == WalRecordType::kDeleteDocument;
+  if (op->kind == WalRecordType::kInsertDocument) {
+    MutexLock lock(docid_mu_);
+    op->doc_id = meta_.next_doc_id++;
+  }
+  Status st = [&]() -> Status {
+    LockManager* locks = engine_->locks();
+    const uint64_t txn_id = at.get()->id;
+    XDB_RETURN_NOT_OK(locks->LockDocument(
+        txn_id, op->doc_id, whole_doc ? LockMode::kX : LockMode::kIX));
+    if (!whole_doc)
+      XDB_RETURN_NOT_OK(
+          locks->LockNode(txn_id, op->doc_id, op->node, LockMode::kX));
+    if (op->kind == WalRecordType::kDeleteDocument) {
+      // The X lock pins existence, so a delete of a missing document fails
+      // here, before it is logged; the latch covers only the probe.
+      ReaderMutexLock latch(latch_);
+      XDB_RETURN_NOT_OK(RequireDoc(op->doc_id));
+    }
+    // The WAL append happens outside the latch: replay holds the WAL lock
+    // while taking collection latches, so the reverse nesting would invert.
+    XDB_RETURN_NOT_OK(engine_->LogWrite(meta_.name, *op));
+    WriterMutexLock latch(latch_);
+    return ApplyWrite(at.get(), *op, new_id);
+  }();
+  return at.Finish(st);
+}
+
+Status Collection::ApplyWrite(Transaction* txn, const DocWrite& op,
+                              std::string* new_id) {
+  using K = WalRecordType;
+  // Index upkeep against the pre-image, all under this one exclusive latch
+  // section so queries never see postings for half-written records. A text
+  // update swaps postings node-locally; a delete or subtree edit removes the
+  // document's entries (a subtree edit changes ancestor string values and
+  // renumbers (pre, post) after the splice point).
+  if (op.kind == K::kUpdateNode) {
+    TextUpdate update(op.doc_id, op.node, op.data, records_.get(),
+                      *engine_->dict(), node_index_.get());
+    for (OwnedIndex& owned : indexes_)
+      XDB_RETURN_NOT_OK(owned.index->UpdateText(&update));
+  } else if (op.kind != K::kInsertDocument) {
+    XDB_RETURN_NOT_OK(RemoveFromIndexes(op.doc_id));
+  }
+  Status st = [&]() -> Status {
+    switch (op.kind) {
+      case K::kInsertDocument:
+        return InsertRecords(txn, op.doc_id, op.data);
+      case K::kDeleteDocument:
+        return DeleteRecords(op.doc_id);
+      case K::kUpdateNode:
+        return ReplaceText(txn, op.doc_id, op.node, op.data);
+      case K::kInsertSubtree:
+        return GraftSubtree(op.doc_id, op.node, op.after, op.data, new_id);
+      default:
+        return PruneSubtree(op.doc_id, op.node);
+    }
+  }();
+  // Index upkeep against the post-image. An inserted document is read from
+  // the tokens in hand (they carry the canonical node IDs just stored); a
+  // subtree edit re-reads the stored document — also when the edit failed,
+  // so a refused edit leaves the document's entries as they were.
+  if (op.kind == K::kInsertDocument && st.ok()) {
+    IndexedDocument doc = IndexedDocument::FromTokens(
+        op.doc_id, op.data, *engine_->dict(), node_index_.get());
+    st = AddToIndexes(&doc);
+  } else if (op.kind == K::kInsertSubtree || op.kind == K::kDeleteSubtree) {
+    IndexedDocument doc = StoredDocument(op.doc_id);
+    Status added = AddToIndexes(&doc);
+    if (st.ok()) st = added;
+  }
+  XDB_RETURN_NOT_OK(st);
+  // Statistics last, so a failed write never counts. Every write path
+  // (clients, WAL replay, scrub salvage) runs here, which keeps the
+  // incremental counters in step with the data.
+  if (op.kind == K::kInsertDocument) {
+    stats_.NoteDocumentInserted(CountStatNodes(op.data));
+  } else if (op.kind == K::kDeleteDocument) {
+    stats_.NoteDocumentDeleted();
+  } else {
+    stats_.NoteDocumentMutated();
+  }
+  return Status::OK();
+}
+
+Status Collection::ApplyLogged(const DocWrite& op) {
+  if (op.kind == WalRecordType::kInsertDocument) {
+    MutexLock lock(docid_mu_);
+    meta_.next_doc_id = std::max(meta_.next_doc_id, op.doc_id + 1);
+  }
+  Transaction txn = engine_->Begin(IsolationMode::kLocking);
+  Status st = [&]() -> Status {
+    WriterMutexLock latch(latch_);
+    // Idempotency: an insert whose DocID is stored, or a delete whose DocID
+    // is gone (kNotFound below), was already applied.
+    if (op.kind == WalRecordType::kInsertDocument) {
+      XDB_ASSIGN_OR_RETURN(bool exists,
+                           docid_tree_->Contains(DocKey(op.doc_id)));
+      if (exists) return Status::OK();
+    } else if (op.kind == WalRecordType::kDeleteDocument) {
+      XDB_RETURN_NOT_OK(RequireDoc(op.doc_id));
+    }
+    return ApplyWrite(&txn, op, nullptr);
+  }();
+  if (st.ok()) return engine_->Commit(&txn);
+  (void)engine_->Abort(&txn);
+  return st.IsNotFound() ? Status::OK() : st;
+}
+
+Status Collection::InsertRecords(Transaction* txn, uint64_t doc_id,
+                                 Slice tokens) {
   uint64_t version = 0;
   if (meta_.mvcc_enabled) {
     XDB_ASSIGN_OR_RETURN(version,
@@ -155,19 +258,7 @@ Result<uint64_t> Collection::InsertTokensLocked(Transaction* txn, Slice tokens,
     return Status::OK();
   });
   XDB_RETURN_NOT_OK(st);
-  XDB_RETURN_NOT_OK(docid_tree_->Insert(DocKey(doc_id), Slice()));
-  // Index maintenance stays under the exclusive latch: dropping it here
-  // would let concurrent queries scan an index while this document's
-  // entries are half-written. The token stream in hand carries the same
-  // canonical node IDs the record builder just stored.
-  IndexedDocument indexed = IndexedDocument::FromTokens(
-      doc_id, tokens, *engine_->dict(), node_index_.get());
-  XDB_RETURN_NOT_OK(AddToIndexes(&indexed));
-  // Statistics last, so a failed insert never counts. Runs for every insert
-  // path — client writes, WAL replay, scrub salvage — which is what keeps
-  // the incremental counters in step with the data.
-  stats_.NoteDocumentInserted(CountStatNodes(tokens));
-  return doc_id;
+  return docid_tree_->Insert(DocKey(doc_id), Slice());
 }
 
 IndexedDocument Collection::StoredDocument(uint64_t doc_id) {
@@ -200,56 +291,12 @@ NodeLocator* Collection::ReadLocator(Transaction* txn, SnapshotLocator* snap) {
   return snap;
 }
 
-Result<std::string> Collection::GetDocumentText(Transaction* txn,
-                                                uint64_t doc_id) {
-  XDB_RETURN_NOT_OK(GuardRepair());
-  AutoTxn at(engine_, txn, IsolationMode::kLocking);
-  std::string out;
-  Status st = [&]() -> Status {
-    XDB_RETURN_NOT_OK(ReadLockDoc(at.get(), doc_id));
-    ReaderMutexLock latch(latch_);
-    SnapshotLocator snap(versions_.get(), 0);
-    NodeLocator* locator = ReadLocator(at.get(), &snap);
-    if (locator != &snap) {
-      XDB_ASSIGN_OR_RETURN(bool exists, docid_tree_->Contains(DocKey(doc_id)));
-      if (!exists) return Status::NotFound("no such document");
-    }
-    StoredDocSource source(records_.get(), locator, doc_id);
-    TokenWriter tokens;
-    XDB_RETURN_NOT_OK(EventsToTokens(&source, &tokens));
-    return SerializeTokens(tokens.data(), *engine_->dict(), {}, &out);
-  }();
-  XDB_RETURN_NOT_OK(at.Finish(st));
-  return out;
-}
-
 Status Collection::DeleteDocument(Transaction* txn, uint64_t doc_id) {
-  XDB_RETURN_NOT_OK(GuardWrite());
-  AutoTxn at(engine_, txn, IsolationMode::kLocking);
-  Status st = [&]() -> Status {
-    XDB_RETURN_NOT_OK(WriteLockDoc(at.get(), doc_id));
-    {
-      // The X doc lock pins existence; the latch only protects the B-tree
-      // probe itself. WAL append happens outside the latch (replay holds
-      // the WAL lock while taking collection latches, so the reverse
-      // nesting would be an inversion).
-      ReaderMutexLock latch(latch_);
-      XDB_ASSIGN_OR_RETURN(bool exists, docid_tree_->Contains(DocKey(doc_id)));
-      if (!exists) return Status::NotFound("no such document");
-    }
-    XDB_RETURN_NOT_OK(engine_->LogDelete(meta_.name, doc_id));
-    // Index-entry removal and record deletion happen under one exclusive
-    // latch section so queries never observe postings pointing at freed
-    // records.
-    WriterMutexLock latch(latch_);
-    XDB_RETURN_NOT_OK(RemoveFromIndexes(doc_id));
-    return DeleteDocumentLocked(at.get(), doc_id);
-  }();
-  return at.Finish(st);
+  DocWrite op{.kind = WalRecordType::kDeleteDocument, .doc_id = doc_id};
+  return Write(txn, &op);
 }
 
-Status Collection::DeleteDocumentLocked(Transaction* txn, uint64_t doc_id) {
-  (void)txn;
+Status Collection::DeleteRecords(uint64_t doc_id) {
   std::set<uint64_t> rids;
   std::vector<Rid> current;
   XDB_RETURN_NOT_OK(node_index_->ListDocRecords(doc_id, &current));
@@ -264,169 +311,45 @@ Status Collection::DeleteDocumentLocked(Transaction* txn, uint64_t doc_id) {
   for (uint64_t packed : rids) {
     XDB_RETURN_NOT_OK(records_->Delete(Rid::Unpack(packed)));
   }
-  XDB_RETURN_NOT_OK(docid_tree_->Delete(DocKey(doc_id), Slice()));
-  stats_.NoteDocumentDeleted();
-  return Status::OK();
-}
-
-Status Collection::MaintainValueIndexesForTextUpdate(uint64_t doc_id,
-                                                     Slice text_node_id,
-                                                     NodeLocator* locator,
-                                                     Slice old_text,
-                                                     Slice new_text) {
-  if (std::none_of(indexes_.begin(), indexes_.end(), [](const OwnedIndex& o) {
-        return o.index->kind() == IndexKind::kValue;
-      }))
-    return Status::OK();
-  (void)old_text;
-  (void)new_text;
-  // Collect the ancestor elements of the text node with their concrete
-  // name paths: in-record names come from a walk; out-of-record ancestors
-  // from the record header's root path.
-  XDB_ASSIGN_OR_RETURN(Rid rid, locator->Lookup(doc_id, text_node_id));
-  std::string record;
-  XDB_RETURN_NOT_OK(records_->Get(rid, &record));
-  RecordWalker walker((Slice(record)));
-  XDB_RETURN_NOT_OK(walker.Init());
-
-  struct Ancestor {
-    std::string abs_id;
-    NameId local;
-  };
-  std::vector<Ancestor> ancestors;
-  const RecordHeader& header = walker.header();
-  {
-    std::vector<Slice> levels;
-    XDB_RETURN_NOT_OK(
-        nodeid::SplitLevels(header.context_node_id, &levels));
-    if (levels.size() != header.root_path.size())
-      return Status::Corruption("record root path/context id mismatch");
-    std::string prefix;
-    for (size_t i = 0; i < levels.size(); i++) {
-      prefix.append(levels[i].data(), levels[i].size());
-      ancestors.push_back(Ancestor{prefix, header.root_path[i].local});
-    }
-  }
-  for (;;) {
-    RecordWalker::Event ev;
-    XDB_RETURN_NOT_OK(walker.Next(&ev));
-    if (ev.type == RecordWalker::EventType::kDone)
-      return Status::NotFound("text node not found for index maintenance");
-    if (ev.type != RecordWalker::EventType::kStart) continue;
-    Slice abs(ev.entry.abs_id);
-    if (abs == text_node_id) break;
-    if (ev.entry.kind == NodeKind::kElement) {
-      if (nodeid::IsAncestor(abs, text_node_id)) {
-        ancestors.push_back(Ancestor{ev.entry.abs_id, ev.entry.local});
-      } else {
-        walker.SkipChildren();
-      }
-    }
-  }
-
-  // Concrete absolute path of each ancestor (pure child steps).
-  StoredTreeNavigator nav(records_.get(), node_index_.get(), doc_id);
-  xpath::Path concrete;
-  concrete.absolute = true;
-  for (const Ancestor& a : ancestors) {
-    xpath::Step step;
-    step.axis = xpath::Axis::kChild;
-    step.test = xpath::NodeTest::kName;
-    XDB_ASSIGN_OR_RETURN(step.name, engine_->dict()->Name(a.local));
-    concrete.steps.push_back(std::move(step));
-    for (OwnedIndex& owned : indexes_) {
-      if (owned.index->kind() != IndexKind::kValue) continue;
-      auto* index = static_cast<ValueIndex*>(owned.index.get());
-      auto ipath = xpath::ParsePath(index->def().path);
-      if (!ipath.ok()) continue;
-      if (!xpath::PathContains(ipath.value(), concrete)) continue;
-      // This ancestor's string value is indexed: swap old for new. The
-      // "old" value is still stored (the record is not yet updated).
-      XDB_ASSIGN_OR_RETURN(std::string old_val,
-                           nav.StringValue(Slice(a.abs_id)));
-      // New value: the old value with this text node's contribution
-      // replaced; recompute by splicing is fragile, so re-derive from the
-      // subtree with the text overridden.
-      std::string new_val;
-      {
-        StoredDocSource source(records_.get(), node_index_.get(), doc_id,
-                               a.abs_id);
-        XmlEvent ev;
-        for (;;) {
-          XDB_ASSIGN_OR_RETURN(bool more, source.Next(&ev));
-          if (!more) break;
-          if (ev.type != XmlEvent::Type::kText) continue;
-          if (ev.node_id == text_node_id) {
-            new_val.append(new_text.data(), new_text.size());
-          } else {
-            new_val.append(ev.value.data(), ev.value.size());
-          }
-        }
-      }
-      XDB_ASSIGN_OR_RETURN(Rid arid,
-                           node_index_->Lookup(doc_id, Slice(a.abs_id)));
-      XDB_RETURN_NOT_OK(
-          index->Remove(old_val, doc_id, Slice(a.abs_id), arid));
-      XDB_RETURN_NOT_OK(index->Add(new_val, doc_id, Slice(a.abs_id), arid));
-    }
-  }
-  return Status::OK();
+  return docid_tree_->Delete(DocKey(doc_id), Slice());
 }
 
 Status Collection::UpdateTextNode(Transaction* txn, uint64_t doc_id,
                                   Slice node_id, Slice new_text) {
-  XDB_RETURN_NOT_OK(GuardWrite());
-  AutoTxn at(engine_, txn, IsolationMode::kLocking);
-  Status st = [&]() -> Status {
-    // Subdocument protocol: IX on the document, X on the updated subtree.
-    XDB_RETURN_NOT_OK(
-        engine_->locks()->LockDocument(at.get()->id, doc_id, LockMode::kIX));
-    XDB_RETURN_NOT_OK(engine_->locks()->LockNode(at.get()->id, doc_id,
-                                                 node_id, LockMode::kX));
-    XDB_RETURN_NOT_OK(
-        engine_->LogUpdate(meta_.name, doc_id, node_id, new_text));
+  DocWrite op{.kind = WalRecordType::kUpdateNode,
+              .doc_id = doc_id,
+              .node = node_id,
+              .data = new_text};
+  return Write(txn, &op);
+}
 
-    WriterMutexLock latch(latch_);
-    XDB_ASSIGN_OR_RETURN(Rid rid, node_index_->Lookup(doc_id, node_id));
-    std::string old_record;
-    XDB_RETURN_NOT_OK(records_->Get(rid, &old_record));
-
-    // Value-index maintenance runs against the pre-update image.
-    XDB_RETURN_NOT_OK(MaintainValueIndexesForTextUpdate(
-        doc_id, node_id, node_index_.get(), Slice(), new_text));
-
-    XDB_ASSIGN_OR_RETURN(std::string new_record,
-                         ReplaceTextValue(old_record, node_id, new_text));
-    if (!meta_.mvcc_enabled) {
-      XDB_RETURN_NOT_OK(records_->Update(rid, new_record));
-      stats_.NoteDocumentMutated();
-      return Status::OK();
-    }
-
-    // MVCC: copy-on-write of the changed record under a new version.
-    XDB_ASSIGN_OR_RETURN(
-        uint64_t version,
-        engine_->txns()->WriteVersion(at.get(), versions_.get()));
-    XDB_ASSIGN_OR_RETURN(Rid new_rid, records_->Insert(new_record));
-    // New version's entries: previous effective entries, with the changed
-    // record's entries re-pointed at the new RID.
-    XDB_ASSIGN_OR_RETURN(
-        uint64_t prev_ver,
-        versions_->EffectiveVersion(doc_id,
-                                    std::numeric_limits<uint64_t>::max() - 1));
-    std::vector<std::pair<std::string, Rid>> entries;
-    XDB_RETURN_NOT_OK(versions_->ListVersionEntries(doc_id, prev_ver, &entries));
-    for (auto& [upper, entry_rid] : entries) {
-      Rid target = (entry_rid == rid) ? new_rid : entry_rid;
-      XDB_RETURN_NOT_OK(versions_->AddEntry(doc_id, version, upper, target));
-    }
-    // The unversioned NodeID index tracks the newest version.
-    XDB_RETURN_NOT_OK(node_index_->RemoveRecord(doc_id, old_record, rid));
-    XDB_RETURN_NOT_OK(node_index_->AddRecord(doc_id, new_record, new_rid));
-    stats_.NoteDocumentMutated();
-    return Status::OK();
-  }();
-  return at.Finish(st);
+Status Collection::ReplaceText(Transaction* txn, uint64_t doc_id,
+                               Slice node_id, Slice text) {
+  XDB_ASSIGN_OR_RETURN(Rid rid, node_index_->Lookup(doc_id, node_id));
+  std::string old_record;
+  XDB_RETURN_NOT_OK(records_->Get(rid, &old_record));
+  XDB_ASSIGN_OR_RETURN(std::string new_record,
+                       ReplaceTextValue(old_record, node_id, text));
+  if (!meta_.mvcc_enabled) return records_->Update(rid, new_record);
+  // MVCC: copy-on-write of the changed record under a new version.
+  XDB_ASSIGN_OR_RETURN(uint64_t version,
+                       engine_->txns()->WriteVersion(txn, versions_.get()));
+  XDB_ASSIGN_OR_RETURN(Rid new_rid, records_->Insert(new_record));
+  // New version's entries: previous effective entries, with the changed
+  // record's entries re-pointed at the new RID.
+  XDB_ASSIGN_OR_RETURN(
+      uint64_t prev_ver,
+      versions_->EffectiveVersion(doc_id,
+                                  std::numeric_limits<uint64_t>::max() - 1));
+  std::vector<std::pair<std::string, Rid>> entries;
+  XDB_RETURN_NOT_OK(versions_->ListVersionEntries(doc_id, prev_ver, &entries));
+  for (auto& [upper, entry_rid] : entries) {
+    Rid target = (entry_rid == rid) ? new_rid : entry_rid;
+    XDB_RETURN_NOT_OK(versions_->AddEntry(doc_id, version, upper, target));
+  }
+  // The unversioned NodeID index tracks the newest version.
+  XDB_RETURN_NOT_OK(node_index_->RemoveRecord(doc_id, old_record, rid));
+  return node_index_->AddRecord(doc_id, new_record, new_rid);
 }
 
 Status Collection::CollectSubtreeRecords(uint64_t doc_id, Slice node_id,
@@ -482,7 +405,7 @@ Result<std::string> Collection::InsertSubtree(Transaction* txn,
                                               Slice parent_id,
                                               Slice after_sibling_id,
                                               Slice fragment) {
-  XDB_RETURN_NOT_OK(GuardWrite());
+  XDB_RETURN_NOT_OK(GuardWrite());  // before parsing, as in InsertDocument
   if (meta_.mvcc_enabled)
     return Status::NotSupported(
         "subtree operations on MVCC collections are future work");
@@ -492,67 +415,52 @@ Result<std::string> Collection::InsertSubtree(Transaction* txn,
   Parser parser = engine_->MakeParser();
   TokenWriter tokens;
   XDB_RETURN_NOT_OK(parser.Parse(fragment, &tokens));
-
-  AutoTxn at(engine_, txn, IsolationMode::kLocking);
+  DocWrite op{.kind = WalRecordType::kInsertSubtree,
+              .doc_id = doc_id,
+              .node = parent_id,
+              .after = after_sibling_id,
+              .data = tokens.data()};
   std::string new_id;
-  Status st = [&]() -> Status {
-    XDB_RETURN_NOT_OK(
-        engine_->locks()->LockDocument(at.get()->id, doc_id, LockMode::kIX));
-    XDB_RETURN_NOT_OK(engine_->locks()->LockNode(at.get()->id, doc_id,
-                                                 parent_id, LockMode::kX));
-    XDB_RETURN_NOT_OK(engine_->LogInsertSubtree(
-        meta_.name, doc_id, parent_id, after_sibling_id, tokens.data()));
-    WriterMutexLock latch(latch_);
-    XDB_ASSIGN_OR_RETURN(
-        new_id, InsertSubtreeLocked(at.get(), doc_id, parent_id,
-                                    after_sibling_id, tokens.data()));
-    return Status::OK();
-  }();
-  XDB_RETURN_NOT_OK(at.Finish(st));
+  XDB_RETURN_NOT_OK(Write(txn, &op, &new_id));
   return new_id;
 }
 
-Result<std::string> Collection::InsertSubtreeLocked(Transaction* txn,
-                                                    uint64_t doc_id,
-                                                    Slice parent_id,
-                                                    Slice after_sibling_id,
-                                                    Slice fragment_tokens) {
-  (void)txn;
-  // Index entries are rebuilt from the stored records around the change:
-  // ancestor string values change too, and the insert renumbers (pre, post)
-  // for every node after the splice point, so removal must see the
-  // pre-mutation document and the re-add the post-mutation one.
-  XDB_RETURN_NOT_OK(RemoveFromIndexes(doc_id));
-
+Status Collection::GraftSubtree(uint64_t doc_id, Slice parent_id,
+                                Slice after_sibling_id, Slice tokens,
+                                std::string* new_id) {
   XDB_ASSIGN_OR_RETURN(Rid parent_rid,
                        node_index_->Lookup(doc_id, parent_id));
   std::string parent_record;
   XDB_RETURN_NOT_OK(records_->Get(parent_rid, &parent_record));
 
-  // Direct children of the parent (inline entries and proxies) in order.
+  // One walk of the parent's record finds the parent's direct children
+  // (inline entries and proxies, in order) and the element path down to the
+  // parent, which the new record's root path continues.
+  RecordHeader header;
   std::vector<std::string> child_ids;
   bool parent_is_element = false;
   {
     RecordWalker walker((Slice(parent_record)));
     XDB_RETURN_NOT_OK(walker.Init());
+    header.namespaces = walker.header().namespaces;
+    header.root_path = walker.header().root_path;
     for (;;) {
       RecordWalker::Event ev;
       XDB_RETURN_NOT_OK(walker.Next(&ev));
       if (ev.type == RecordWalker::EventType::kDone) break;
       if (ev.type != RecordWalker::EventType::kStart) continue;
       Slice abs(ev.entry.abs_id);
-      if (abs == parent_id) {
-        if (ev.entry.kind != NodeKind::kElement)
-          return Status::InvalidArgument("parent is not an element");
-        parent_is_element = true;
-        continue;  // descend into it
-      }
+      const bool element = ev.entry.kind == NodeKind::kElement;
       auto eparent = nodeid::Parent(abs);
       if (eparent.ok() && eparent.value() == parent_id) {
         child_ids.push_back(ev.entry.abs_id);
-        if (ev.entry.kind == NodeKind::kElement) walker.SkipChildren();
-      } else if (ev.entry.kind == NodeKind::kElement &&
-                 !nodeid::IsAncestor(abs, parent_id)) {
+        if (element) walker.SkipChildren();
+      } else if (abs == parent_id || nodeid::IsAncestor(abs, parent_id)) {
+        if (!element)
+          return Status::InvalidArgument("parent is not an element");
+        parent_is_element |= abs == parent_id;
+        header.root_path.push_back({ev.entry.local, ev.entry.ns_uri});
+      } else if (element) {
         walker.SkipChildren();
       }
     }
@@ -560,72 +468,29 @@ Result<std::string> Collection::InsertSubtreeLocked(Transaction* txn,
   if (!parent_is_element)
     return Status::NotFound("parent element not found");
 
-  // Choose the new relative ID with Between().
-  std::string left_rel, right_rel;
-  if (after_sibling_id.empty()) {
-    if (!child_ids.empty()) {
-      Slice last(child_ids.back());
-      last.RemovePrefix(parent_id.size());
-      left_rel = last.ToString();
-    }
-  } else {
-    size_t pos = 0;
-    bool found = false;
-    for (; pos < child_ids.size(); pos++) {
-      if (Slice(child_ids[pos]) == after_sibling_id) {
-        found = true;
-        break;
-      }
-    }
-    if (!found)
+  // The new relative ID sits Between() its left and right siblings.
+  size_t pos = child_ids.size();  // appended: after the last child
+  if (!after_sibling_id.empty()) {
+    auto it = std::find(child_ids.begin(), child_ids.end(),
+                        after_sibling_id.ToString());
+    if (it == child_ids.end())
       return Status::NotFound("after-sibling is not a child of the parent");
-    Slice l(child_ids[pos]);
-    l.RemovePrefix(parent_id.size());
-    left_rel = l.ToString();
-    if (pos + 1 < child_ids.size()) {
-      Slice r(child_ids[pos + 1]);
-      r.RemovePrefix(parent_id.size());
-      right_rel = r.ToString();
-    }
+    pos = it - child_ids.begin() + 1;
   }
+  auto rel = [&](size_t i) {
+    return i < child_ids.size() ? child_ids[i].substr(parent_id.size())
+                                : std::string();
+  };
   std::string new_rel;
-  XDB_RETURN_NOT_OK(nodeid::Between(left_rel, right_rel, &new_rel));
-  std::string new_abs = parent_id.ToString() + new_rel;
+  XDB_RETURN_NOT_OK(nodeid::Between(pos > 0 ? rel(pos - 1) : std::string(),
+                                    rel(pos), &new_rel));
 
-  // Build the subtree's record, with the parent as its context node.
+  // The subtree's record, with the parent as its context node.
   uint64_t node_count = 0;
   XDB_ASSIGN_OR_RETURN(std::string entry,
-                       BuildSubtreeEntry(fragment_tokens, new_rel,
-                                         &node_count));
-  RecordHeader parent_header;
-  Slice parent_payload;
-  XDB_RETURN_NOT_OK(
-      ParseRecordHeader(parent_record, &parent_header, &parent_payload));
-  RecordHeader header;
+                       BuildSubtreeEntry(tokens, new_rel, &node_count));
   header.context_node_id = parent_id;
-  header.namespaces = parent_header.namespaces;
   header.subtree_count = 1;
-  // Root path = parent record's path to its context + in-record element
-  // names down to the parent.
-  header.root_path = parent_header.root_path;
-  {
-    RecordWalker walker((Slice(parent_record)));
-    XDB_RETURN_NOT_OK(walker.Init());
-    for (;;) {
-      RecordWalker::Event ev;
-      XDB_RETURN_NOT_OK(walker.Next(&ev));
-      if (ev.type == RecordWalker::EventType::kDone) break;
-      if (ev.type != RecordWalker::EventType::kStart) continue;
-      Slice abs(ev.entry.abs_id);
-      if (ev.entry.kind == NodeKind::kElement &&
-          (abs == parent_id || nodeid::IsAncestor(abs, parent_id))) {
-        header.root_path.push_back({ev.entry.local, ev.entry.ns_uri});
-        if (abs == parent_id) break;
-      } else if (ev.entry.kind == NodeKind::kElement) {
-        walker.SkipChildren();
-      }
-    }
-  }
   std::string new_record;
   AppendRecordHeader(header, &new_record);
   new_record += entry;
@@ -641,42 +506,27 @@ Result<std::string> Collection::InsertSubtreeLocked(Transaction* txn,
   XDB_RETURN_NOT_OK(records_->Update(parent_rid, new_parent_record));
   XDB_RETURN_NOT_OK(
       node_index_->AddRecord(doc_id, new_parent_record, parent_rid));
-
-  IndexedDocument reindexed = StoredDocument(doc_id);
-  XDB_RETURN_NOT_OK(AddToIndexes(&reindexed));
-  stats_.NoteDocumentMutated();
-  return new_abs;
+  if (new_id != nullptr) *new_id = parent_id.ToString() + new_rel;
+  return Status::OK();
 }
 
 Status Collection::DeleteSubtree(Transaction* txn, uint64_t doc_id,
                                  Slice node_id) {
-  XDB_RETURN_NOT_OK(GuardWrite());
   if (meta_.mvcc_enabled)
     return Status::NotSupported(
         "subtree operations on MVCC collections are future work");
   if (node_id.empty())
     return Status::InvalidArgument("cannot delete the document node");
-  AutoTxn at(engine_, txn, IsolationMode::kLocking);
-  Status st = [&]() -> Status {
-    XDB_RETURN_NOT_OK(
-        engine_->locks()->LockDocument(at.get()->id, doc_id, LockMode::kIX));
-    XDB_RETURN_NOT_OK(engine_->locks()->LockNode(at.get()->id, doc_id,
-                                                 node_id, LockMode::kX));
-    XDB_RETURN_NOT_OK(
-        engine_->LogDeleteSubtree(meta_.name, doc_id, node_id));
-    WriterMutexLock latch(latch_);
-    return DeleteSubtreeLocked(at.get(), doc_id, node_id);
-  }();
-  return at.Finish(st);
+  DocWrite op{.kind = WalRecordType::kDeleteSubtree,
+              .doc_id = doc_id,
+              .node = node_id};
+  return Write(txn, &op);
 }
 
-Status Collection::DeleteSubtreeLocked(Transaction* txn, uint64_t doc_id,
-                                       Slice node_id) {
-  (void)txn;
+Status Collection::PruneSubtree(uint64_t doc_id, Slice node_id) {
   XDB_ASSIGN_OR_RETURN(Slice parent_id, nodeid::Parent(node_id));
   if (parent_id.empty())
     return Status::InvalidArgument("cannot delete the root element");
-  XDB_RETURN_NOT_OK(RemoveFromIndexes(doc_id));
 
   // The record holding the parent's child list holds either the subtree
   // inline or a proxy for it.
@@ -705,9 +555,6 @@ Status Collection::DeleteSubtreeLocked(Transaction* txn, uint64_t doc_id,
     XDB_RETURN_NOT_OK(node_index_->RemoveRecord(doc_id, bytes, rid));
     XDB_RETURN_NOT_OK(records_->Delete(rid));
   }
-  IndexedDocument reindexed = StoredDocument(doc_id);
-  XDB_RETURN_NOT_OK(AddToIndexes(&reindexed));
-  stats_.NoteDocumentMutated();
   return Status::OK();
 }
 
@@ -763,6 +610,7 @@ Status Collection::ApplyCreateIndex(const SecondaryIndexDef& def) {
   }();
   if (!st.ok()) {
     stats_.NoteIndexDropped(kind, name);
+    (void)tree->Destroy();  // best effort: the caller gets the backfill error
     return st;
   }
   if (kind == IndexKind::kValue) {
@@ -797,9 +645,16 @@ Status Collection::ApplyDropIndex(IndexKind kind, const std::string& name) {
   index_version_.fetch_add(1, std::memory_order_acq_rel);
   plan_cache_.Invalidate("index dropped");
   stats_.NoteIndexDropped(kind, name);
-  std::erase_if(indexes_, [&](const OwnedIndex& owned) {
-    return owned.index.get() == doomed;
-  });
+  auto owned = std::find_if(indexes_.begin(), indexes_.end(),
+                            [&](const OwnedIndex& o) {
+                              return o.index.get() == doomed;
+                            });
+  // The durable catalog may still name the tree until the next checkpoint
+  // (a crash before it replays from that catalog), so its pages are freed
+  // then; an in-memory engine has no durable catalog.
+  retired_trees_.push_back(std::move(owned->tree));
+  indexes_.erase(owned);
+  if (engine_->options_.in_memory) FreeRetiredTrees(retired_trees_.size());
   auto named = [&](const auto& meta) { return meta.def.name == name; };
   if (kind == IndexKind::kValue) {
     std::erase_if(meta_.value_indexes, named);
@@ -807,6 +662,16 @@ Status Collection::ApplyDropIndex(IndexKind kind, const std::string& name) {
     std::erase_if(meta_.structural_indexes, named);
   }
   return Status::OK();
+}
+
+void Collection::FreeRetiredTrees(size_t count) {
+  auto end = retired_trees_.begin() +
+             static_cast<ptrdiff_t>(std::min(count, retired_trees_.size()));
+  // A tree that cannot be walked (a damaged page) frees nothing: its pages
+  // stay allocated rather than risk freeing live ones.
+  for (auto it = retired_trees_.begin(); it != end; ++it)
+    (void)(*it)->Destroy();
+  retired_trees_.erase(retired_trees_.begin(), end);
 }
 
 Status Collection::OpenStorage(bool create) {
@@ -923,8 +788,10 @@ Result<std::string> Collection::SerializeSubtree(Transaction* txn,
     XDB_RETURN_NOT_OK(ReadLockDoc(at.get(), doc_id));
     ReaderMutexLock latch(latch_);
     SnapshotLocator snap(versions_.get(), 0);
-    StoredDocSource source(records_.get(), ReadLocator(at.get(), &snap),
-                           doc_id, node_id.ToString());
+    NodeLocator* locator = ReadLocator(at.get(), &snap);
+    if (locator != &snap) XDB_RETURN_NOT_OK(RequireDoc(doc_id));
+    StoredDocSource source(records_.get(), locator, doc_id,
+                           node_id.ToString());
     TokenWriter tokens;
     XDB_RETURN_NOT_OK(EventsToTokens(&source, &tokens));
     return SerializeTokens(tokens.data(), *engine_->dict(), {}, &out);
@@ -1591,6 +1458,7 @@ Status Collection::RebuildStorage() {
   WriterMutexLock latch(latch_);
   // Tear down top-down so nothing flushes into the space after it is reset.
   indexes_.clear();
+  retired_trees_.clear();
   node_index_.reset();
   versions_.reset();
   docid_tree_.reset();
@@ -1714,14 +1582,9 @@ Status Collection::ScrubAndRepair(CollectionScrubReport* report,
   repair_reason_.clear();
 
   for (auto& [doc, tokens] : salvage) {
-    Transaction txn = engine_->Begin(IsolationMode::kLocking);
-    Status st = WriteLockDoc(&txn, doc);
-    if (st.ok()) {
-      auto res = InsertTokensLocked(&txn, Slice(tokens), doc);
-      st = res.ok() ? Status::OK() : res.status();
-    }
-    if (st.ok()) st = engine_->Commit(&txn);
-    else (void)engine_->Abort(&txn);
+    Status st = ApplyLogged({.kind = WalRecordType::kInsertDocument,
+                             .doc_id = doc,
+                             .data = tokens});
     if (st.ok()) {
       salvaged_ids->insert(doc);
       report->docs_salvaged++;
@@ -1729,10 +1592,6 @@ Status Collection::ScrubAndRepair(CollectionScrubReport* report,
       lost_ids->insert(doc);
       report->notes.push_back("doc " + std::to_string(doc) +
                               " lost during re-insert: " + st.ToString());
-    }
-    {
-      MutexLock lock(docid_mu_);
-      if (doc >= meta_.next_doc_id) meta_.next_doc_id = doc + 1;
     }
   }
   return Status::OK();

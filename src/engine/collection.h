@@ -30,6 +30,7 @@
 #include "storage/buffer_manager.h"
 #include "storage/record_manager.h"
 #include "storage/tablespace.h"
+#include "storage/wal_log.h"
 #include "xdm/item.h"
 #include "xpath/ast.h"
 
@@ -131,6 +132,21 @@ struct CollectionScrubReport {
   std::vector<std::string> notes;
 };
 
+/// One document write as the write pipeline carries it and the WAL records
+/// it: the record kind (one of the five document kinds), the document, and
+/// the kind's arguments.
+struct DocWrite {
+  WalRecordType kind = WalRecordType::kInsertDocument;
+  uint64_t doc_id = 0;  // an insert's is allocated by the pipeline
+  /// Update: the text node; insert-subtree: the parent element;
+  /// delete-subtree: the subtree root.
+  Slice node{};
+  Slice after{};  // insert-subtree: the left sibling (empty = append)
+  /// Insert: the document's tokens; update: the new text; insert-subtree:
+  /// the fragment's tokens.
+  Slice data{};
+};
+
 class Collection {
  public:
   ~Collection() = default;
@@ -157,15 +173,17 @@ class Collection {
 
   /// Serializes the stored document back to XML text.
   Result<std::string> GetDocumentText(Transaction* txn, uint64_t doc_id)
-      XDB_EXCLUDES(latch_);
+      XDB_EXCLUDES(latch_) {
+    return SerializeSubtree(txn, doc_id, Slice());
+  }
 
   Status DeleteDocument(Transaction* txn, uint64_t doc_id)
       XDB_EXCLUDES(latch_);
 
   /// Subdocument update: replaces the value of one text node. Under MVCC
   /// this creates a new document version (copy-on-write of the containing
-  /// record); otherwise it updates the record in place. Takes a node-ID
-  /// subtree lock on the text node's parent.
+  /// record); otherwise it updates the record in place. Takes an IX lock on
+  /// the document and an X node lock on the text node itself.
   Status UpdateTextNode(Transaction* txn, uint64_t doc_id, Slice node_id,
                         Slice new_text) XDB_EXCLUDES(latch_);
 
@@ -231,7 +249,8 @@ class Collection {
   Status VacuumVersions(uint64_t doc_id, uint64_t oldest_live_snapshot)
       XDB_EXCLUDES(latch_);
 
-  /// Serializes the subtree a handle points to (deferred fetch).
+  /// Serializes the subtree a handle points to (deferred fetch), or with an
+  /// empty `node_id` the whole document.
   Result<std::string> SerializeSubtree(Transaction* txn, uint64_t doc_id,
                                        Slice node_id) XDB_EXCLUDES(latch_);
 
@@ -261,20 +280,46 @@ class Collection {
   friend class Engine;
   Collection() = default;
 
-  // Locking helpers honoring the transaction's isolation mode; autocommit
+  // Locking helper honoring the transaction's isolation mode; autocommit
   // transactions are created/finished by the public methods.
   Status ReadLockDoc(Transaction* txn, uint64_t doc_id);
-  Status WriteLockDoc(Transaction* txn, uint64_t doc_id);
   /// The locator reads in `txn` resolve node IDs through: for a snapshot
   /// read of an MVCC collection, `*snap` pinned at the transaction's
   /// snapshot; otherwise the current NodeID index.
   NodeLocator* ReadLocator(Transaction* txn, SnapshotLocator* snap);
+  /// kNotFound unless the document is stored.
+  Status RequireDoc(uint64_t doc_id) XDB_REQUIRES_SHARED(latch_);
 
-  Result<uint64_t> InsertTokensLocked(Transaction* txn, Slice tokens,
-                                      uint64_t forced_doc_id)
-      XDB_EXCLUDES(latch_);
-  Status DeleteDocumentLocked(Transaction* txn, uint64_t doc_id)
+  /// The write pipeline every document write runs, in stages: the write
+  /// guard, an autocommit transaction when `txn` is null, the op's lock
+  /// footprint (document X for insert and delete, document IX plus node X
+  /// for node writes), one WAL record, the exclusive latch, the apply stage.
+  /// Allocates an insert's DocID into op->doc_id; an insert-subtree's new
+  /// node ID lands in *new_id.
+  Status Write(Transaction* txn, DocWrite* op, std::string* new_id = nullptr)
+      XDB_EXCLUDES(latch_) XDB_EXCLUDES(docid_mu_);
+  /// The apply stage: mutates records, the NodeID index and versions, keeps
+  /// every secondary index in step through its SecondaryIndex hooks, then
+  /// notes the statistics. Never logs; the pipeline, WAL replay and scrub
+  /// salvage all apply here.
+  Status ApplyWrite(Transaction* txn, const DocWrite& op, std::string* new_id)
       XDB_REQUIRES(latch_);
+  /// A logged write re-applied (WAL replay, replica apply, scrub salvage):
+  /// the apply stage in its own transaction, with no lock-manager locks and
+  /// no WAL record. Idempotent: an insert whose DocID is stored is skipped,
+  /// and kNotFound means the write was already applied. An insert also
+  /// moves next_doc_id past its DocID.
+  Status ApplyLogged(const DocWrite& op)
+      XDB_EXCLUDES(latch_) XDB_EXCLUDES(docid_mu_);
+  // The apply stage's record mutations, one per write kind.
+  Status InsertRecords(Transaction* txn, uint64_t doc_id, Slice tokens)
+      XDB_REQUIRES(latch_);
+  Status DeleteRecords(uint64_t doc_id) XDB_REQUIRES(latch_);
+  Status ReplaceText(Transaction* txn, uint64_t doc_id, Slice node_id,
+                     Slice text) XDB_REQUIRES(latch_);
+  Status GraftSubtree(uint64_t doc_id, Slice parent_id, Slice after_sibling_id,
+                      Slice tokens, std::string* new_id) XDB_REQUIRES(latch_);
+  Status PruneSubtree(uint64_t doc_id, Slice node_id) XDB_REQUIRES(latch_);
   /// Hands one document to every secondary index (see IndexedDocument for
   /// which event source each path uses).
   Status AddToIndexes(IndexedDocument* doc) XDB_REQUIRES(latch_);
@@ -282,18 +327,6 @@ class Collection {
   Status RemoveFromIndexes(uint64_t doc_id) XDB_REQUIRES(latch_);
   /// One document as read back from its stored records.
   IndexedDocument StoredDocument(uint64_t doc_id);
-  Status MaintainValueIndexesForTextUpdate(uint64_t doc_id, Slice text_node_id,
-                                           NodeLocator* locator,
-                                           Slice old_text, Slice new_text)
-      XDB_REQUIRES(latch_);
-
-  Result<std::string> InsertSubtreeLocked(Transaction* txn, uint64_t doc_id,
-                                          Slice parent_id,
-                                          Slice after_sibling_id,
-                                          Slice fragment_tokens)
-      XDB_REQUIRES(latch_);
-  Status DeleteSubtreeLocked(Transaction* txn, uint64_t doc_id, Slice node_id)
-      XDB_REQUIRES(latch_);
   /// RIDs of all records fully contained in the subtree at `node_id`,
   /// starting from proxies inside `record` (recursive across records).
   Status CollectSubtreeRecords(uint64_t doc_id, Slice node_id, Slice record,
@@ -415,6 +448,9 @@ class Collection {
   Status ApplyCreateIndex(const SecondaryIndexDef& def) XDB_EXCLUDES(latch_);
   Status ApplyDropIndex(IndexKind kind, const std::string& name)
       XDB_EXCLUDES(latch_);
+  /// Returns the pages of the `count` oldest retired trees to the free list
+  /// (see retired_trees_).
+  void FreeRetiredTrees(size_t count) XDB_REQUIRES(latch_);
   /// Builds the buffer pool, the record manager and every index over
   /// space_: the DocID, NodeID and (MVCC) version trees and every secondary
   /// index that meta_ lists. A tree is created when `create` is set or its
@@ -470,6 +506,10 @@ class Collection {
   };
   // Value and structural indexes, each kind in creation order.
   std::vector<OwnedIndex> indexes_;
+  // Trees of dropped indexes, oldest first, that a durable catalog may
+  // still name; Engine::Checkpoint frees them once it has saved one that
+  // does not.
+  std::vector<std::unique_ptr<BTree>> retired_trees_;
   // Short-duration structure latch over the storage components above
   // (records_, trees, node_index_, indexes_). Writers (document
   // insert/delete, subtree edits, index creation, rebuild) hold it

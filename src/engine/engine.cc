@@ -13,6 +13,23 @@
 namespace xdb {
 
 namespace {
+/// Parses a document write's redo record (the inverse of Engine::LogWrite).
+Status DecodeDocWrite(WalRecordType type, Slice payload, Slice* collection,
+                      DocWrite* op) {
+  using K = WalRecordType;
+  op->kind = type;
+  if (!GetLengthPrefixed(&payload, collection) || payload.size() < 8)
+    return Status::Corruption("bad wal payload");
+  op->doc_id = DecodeFixed64(payload.data());
+  payload.RemovePrefix(8);
+  if (((type == K::kUpdateNode || type == K::kInsertSubtree) &&
+       !GetLengthPrefixed(&payload, &op->node)) ||
+      (type == K::kInsertSubtree && !GetLengthPrefixed(&payload, &op->after)))
+    return Status::Corruption("bad wal payload");
+  (type == K::kDeleteSubtree ? op->node : op->data) = payload;
+  return Status::OK();
+}
+
 /// Which engine the current thread is replaying into (null = none). Replay
 /// permission must be per-thread: GuardWritable() consults it so that ONLY
 /// the thread driving WAL replay / replicated-segment apply may mutate a
@@ -406,6 +423,9 @@ Status Engine::Checkpoint() {
                "checkpoint");
   catalog_.collections.clear();
   StatsFileData stats_data;
+  // Per collection, how many retired trees the catalog saved below no
+  // longer names (a drop racing this checkpoint retires its tree later).
+  std::map<Collection*, size_t> retired;
   bool any_quarantined = false;
   for (auto& [name, coll] : collections_) {
     if (coll->needs_repair_) {
@@ -422,6 +442,8 @@ Status Engine::Checkpoint() {
     // payload changes under it. Readers may proceed. The doc-id mutex
     // covers the meta_.next_doc_id read in the copy below.
     ReaderMutexLock latch(coll->latch_);
+    if (!coll->retired_trees_.empty())
+      retired[coll.get()] = coll->retired_trees_.size();
     XDB_RETURN_NOT_OK(coll->buffer_->FlushAll());
     XDB_RETURN_NOT_OK(coll->space_->Sync());
     CollectionMeta meta;
@@ -457,6 +479,12 @@ Status Engine::Checkpoint() {
   // undercounts the applied position (safe: re-ship + idempotent re-apply).
   catalog_.replica_wal_base = replica_wal_base_;
   XDB_RETURN_NOT_OK(SaveCatalog(catalog_, options_.dir + "/catalog.xdb"));
+  // Trees of indexes dropped before the catalog copy: the saved catalog no
+  // longer references them, so their pages can go back to the free list.
+  for (auto& [coll, count] : retired) {
+    WriterMutexLock latch(coll->latch_);
+    coll->FreeRetiredTrees(count);
+  }
   // The WAL may still be the only copy of a quarantined collection's
   // post-checkpoint history — keep it until Scrub() has repaired everything.
   // MaybeReset also refuses while an attached replication shipper still
@@ -509,58 +537,20 @@ Status Engine::AppendWal(WalRecordType type, Slice payload) {
   return Status::OK();
 }
 
-Status Engine::LogInsert(const std::string& collection, uint64_t doc_id,
-                         Slice tokens) {
+Status Engine::LogWrite(const std::string& collection, const DocWrite& op) {
   if (wal_ == nullptr || InReplay()) return Status::OK();
-  XDB_RETURN_NOT_OK(LogNewNames());
+  using K = WalRecordType;
+  if (op.kind == K::kInsertDocument || op.kind == K::kInsertSubtree)
+    XDB_RETURN_NOT_OK(LogNewNames());
   std::string payload;
   PutLengthPrefixed(&payload, collection);
-  PutFixed64(&payload, doc_id);
-  payload.append(tokens.data(), tokens.size());
-  return AppendWal(WalRecordType::kInsertDocument, payload);
-}
-
-Status Engine::LogDelete(const std::string& collection, uint64_t doc_id) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutFixed64(&payload, doc_id);
-  return AppendWal(WalRecordType::kDeleteDocument, payload);
-}
-
-Status Engine::LogUpdate(const std::string& collection, uint64_t doc_id,
-                         Slice node_id, Slice new_text) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutFixed64(&payload, doc_id);
-  PutLengthPrefixed(&payload, node_id);
-  payload.append(new_text.data(), new_text.size());
-  return AppendWal(WalRecordType::kUpdateNode, payload);
-}
-
-Status Engine::LogInsertSubtree(const std::string& collection,
-                                uint64_t doc_id, Slice parent_id,
-                                Slice after_id, Slice tokens) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  XDB_RETURN_NOT_OK(LogNewNames());
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutFixed64(&payload, doc_id);
-  PutLengthPrefixed(&payload, parent_id);
-  PutLengthPrefixed(&payload, after_id);
-  payload.append(tokens.data(), tokens.size());
-  return AppendWal(WalRecordType::kInsertSubtree, payload);
-}
-
-Status Engine::LogDeleteSubtree(const std::string& collection,
-                                uint64_t doc_id, Slice node_id) {
-  if (wal_ == nullptr || InReplay()) return Status::OK();
-  std::string payload;
-  PutLengthPrefixed(&payload, collection);
-  PutFixed64(&payload, doc_id);
-  payload.append(node_id.data(), node_id.size());
-  return AppendWal(WalRecordType::kDeleteSubtree, payload);
+  PutFixed64(&payload, op.doc_id);
+  if (op.kind == K::kUpdateNode || op.kind == K::kInsertSubtree)
+    PutLengthPrefixed(&payload, op.node);
+  if (op.kind == K::kInsertSubtree) PutLengthPrefixed(&payload, op.after);
+  const Slice tail = op.kind == K::kDeleteSubtree ? op.node : op.data;
+  payload.append(tail.data(), tail.size());
+  return AppendWal(op.kind, payload);
 }
 
 Status Engine::LogCreateCollection(const std::string& name,
@@ -723,88 +713,26 @@ Status Engine::ApplyWalRecordLocked(WalRecordType type, Slice payload,
           return Status::Corruption("bad wal register-schema record");
         return RegisterSchemaBinaryLocked(sname.ToString(), payload);
       }
+      case WalRecordType::kInsertDocument:
+      case WalRecordType::kDeleteDocument:
+      case WalRecordType::kUpdateNode:
+      case WalRecordType::kInsertSubtree:
+      case WalRecordType::kDeleteSubtree:
+        break;  // the five document writes, below
       default:
-        break;  // document records: fall through to the common parse
+        return Status::OK();  // nothing to redo
     }
-    Slice name_slice;
-    if (!GetLengthPrefixed(&payload, &name_slice))
-      return Status::Corruption("bad wal payload");
-    std::string name = name_slice.ToString();
-    if (payload.size() < 8) return Status::Corruption("bad wal payload");
-    uint64_t doc_id = DecodeFixed64(payload.data());
-    payload.RemovePrefix(8);
-    auto it = collections_.find(name);
+    Slice cname;
+    DocWrite op;
+    XDB_RETURN_NOT_OK(DecodeDocWrite(type, payload, &cname, &op));
+    auto it = collections_.find(cname.ToString());
     if (it == collections_.end()) return Status::OK();  // dropped later
     Collection* coll = it->second.get();
     // Quarantined collections cannot take replay until Scrub() has rebuilt
     // their storage; Scrub then re-runs the replay with a filter.
     if (coll->needs_repair()) return Status::OK();
-    if (filter && !filter(name, doc_id)) return Status::OK();
-    Status op_status = [&]() -> Status {
-    switch (type) {
-      case WalRecordType::kInsertDocument: {
-        auto exists = coll->docid_tree_->Contains(
-            [&] {
-              std::string k;
-              PutBig64(&k, doc_id);
-              return k;
-            }());
-        if (exists.ok() && exists.value()) return Status::OK();  // redone
-        Transaction txn = Begin(IsolationMode::kLocking);
-        auto res = coll->InsertTokensLocked(&txn, payload, doc_id);
-        Status st = res.ok() ? Status::OK() : res.status();
-        if (st.ok()) st = Commit(&txn);
-        else (void)Abort(&txn);
-        {
-          MutexLock dlock(coll->docid_mu_);
-          if (doc_id >= coll->meta_.next_doc_id)
-            coll->meta_.next_doc_id = doc_id + 1;
-        }
-        return st;
-      }
-      case WalRecordType::kDeleteDocument: {
-        Status st = coll->DeleteDocument(nullptr, doc_id);
-        if (st.IsNotFound()) return Status::OK();  // already gone / redone
-        return st;
-      }
-      case WalRecordType::kUpdateNode: {
-        Slice node_id;
-        if (!GetLengthPrefixed(&payload, &node_id))
-          return Status::Corruption("bad wal update payload");
-        Status st = coll->UpdateTextNode(nullptr, doc_id, node_id, payload);
-        if (st.IsNotFound()) return Status::OK();
-        return st;
-      }
-      case WalRecordType::kInsertSubtree: {
-        Slice parent_id, after_id;
-        if (!GetLengthPrefixed(&payload, &parent_id) ||
-            !GetLengthPrefixed(&payload, &after_id))
-          return Status::Corruption("bad wal subtree payload");
-        Transaction txn = Begin(IsolationMode::kLocking);
-        auto res = [&]() -> Result<std::string> {
-          WriterMutexLock latch(coll->latch_);
-          return coll->InsertSubtreeLocked(&txn, doc_id, parent_id, after_id,
-                                           payload);
-        }();
-        Status st = res.ok() ? Status::OK() : res.status();
-        // Idempotency: if the subtree is already present (the operation hit
-        // the data pages before the crash), the Between() ID may collide —
-        // re-running is still safe because replay starts from the last
-        // checkpointed image, which cannot contain post-checkpoint work.
-        if (st.ok()) st = Commit(&txn);
-        else (void)Abort(&txn);
-        if (st.IsNotFound()) return Status::OK();
-        return st;
-      }
-      case WalRecordType::kDeleteSubtree: {
-        Status st = coll->DeleteSubtree(nullptr, doc_id, payload);
-        if (st.IsNotFound()) return Status::OK();
-        return st;
-      }
-      default:
-        return Status::OK();
-    }
-    }();
+    if (filter && !filter(it->first, op.doc_id)) return Status::OK();
+    Status op_status = coll->ApplyLogged(op);
     if (op_status.IsCorruption() || op_status.IsIOError()) {
       // Replay ran into damaged storage. Failing Open() here would take the
       // whole database down; instead quarantine the collection (skipping its

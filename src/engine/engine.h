@@ -287,15 +287,11 @@ class Engine {
   Status LogNewNames() XDB_EXCLUDES(wal_names_mu_);
   /// Appends one redo record and, when sync_commits is on, group-commits it.
   Status AppendWal(WalRecordType type, Slice payload);
-  Status LogInsert(const std::string& collection, uint64_t doc_id,
-                   Slice tokens);
-  Status LogDelete(const std::string& collection, uint64_t doc_id);
-  Status LogUpdate(const std::string& collection, uint64_t doc_id,
-                   Slice node_id, Slice new_text);
-  Status LogInsertSubtree(const std::string& collection, uint64_t doc_id,
-                          Slice parent_id, Slice after_id, Slice tokens);
-  Status LogDeleteSubtree(const std::string& collection, uint64_t doc_id,
-                          Slice node_id);
+  /// The redo record of one document write: [collection][doc_id], then
+  /// [node][after] (insert-subtree) or [node] (update), length-prefixed, and
+  /// the op's data as the tail — except delete-subtree, whose tail is the
+  /// node. DecodeDocWrite in engine.cc is the inverse.
+  Status LogWrite(const std::string& collection, const DocWrite& op);
   /// DDL redo records (see WalRecordType). Logged after the operation
   /// succeeds locally: a failed DDL must never replicate, and the crash
   /// window (applied but unlogged) only orphans a table-space file that the

@@ -12,7 +12,11 @@
 // record builder just stored, so the insert path pays no read-back); every
 // other path (delete, reindex after a subtree edit, backfill) reads the
 // stored records, whose node IDs include Between()-allocated ones that a
-// token round trip would renumber.
+// token round trip would renumber. A text update is the one node-local
+// path: UpdateText hands each index a TextUpdate (the text node's element
+// ancestors, read from the stored records before the update) and the index
+// swaps only the postings of ancestors it indexes; node IDs and the element
+// structure do not change, so a structural index has nothing to do.
 #ifndef XDB_INDEX_SECONDARY_INDEX_H_
 #define XDB_INDEX_SECONDARY_INDEX_H_
 
@@ -25,6 +29,7 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "xml/name_dictionary.h"
+#include "xpath/ast.h"
 
 namespace xdb {
 
@@ -89,6 +94,49 @@ class IndexedDocument {
   std::vector<StructuralEntry> structural_;
 };
 
+/// One text node's new value as index upkeep sees it, before the record is
+/// rewritten: the node's element ancestors with their concrete name paths,
+/// derived on first use and shared by every index that asks.
+class TextUpdate {
+ public:
+  /// An element ancestor of the text node: its absolute node ID and its
+  /// path from the root (child steps only).
+  struct Ancestor {
+    std::string node_id;
+    xpath::Path path;
+  };
+
+  TextUpdate(uint64_t doc_id, Slice text_node_id, Slice new_text,
+             RecordManager* records, const NameDictionary& dict,
+             NodeLocator* node_index)
+      : doc_id_(doc_id),
+        text_node_id_(text_node_id),
+        new_text_(new_text),
+        records_(records),
+        dict_(&dict),
+        node_index_(node_index) {}
+
+  uint64_t doc_id() const { return doc_id_; }
+  NodeLocator* node_index() const { return node_index_; }
+
+  /// The text node's element ancestors, outermost first.
+  Result<const std::vector<Ancestor>*> Ancestors();
+  /// An ancestor's string value before and after the update (one pass over
+  /// its subtree).
+  Status Values(const Ancestor& ancestor, std::string* before,
+                std::string* after);
+
+ private:
+  uint64_t doc_id_;
+  Slice text_node_id_;
+  Slice new_text_;
+  RecordManager* records_;
+  const NameDictionary* dict_;
+  NodeLocator* node_index_;
+  bool ancestors_ready_ = false;
+  std::vector<Ancestor> ancestors_;
+};
+
 class SecondaryIndex {
  public:
   SecondaryIndex() = default;
@@ -103,6 +151,9 @@ class SecondaryIndex {
   /// Adds (removes) every entry the document contributes to this index.
   virtual Status AddDocument(IndexedDocument* doc) = 0;
   virtual Status RemoveDocument(IndexedDocument* doc) = 0;
+  /// Swaps the entries a text-node update changes. The default does
+  /// nothing: only string values depend on text.
+  virtual Status UpdateText(TextUpdate* /*update*/) { return Status::OK(); }
 };
 
 }  // namespace xdb

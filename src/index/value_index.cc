@@ -2,21 +2,51 @@
 
 #include "index/nodeid_index.h"
 #include "runtime/virtual_sax.h"
+#include "xpath/parser.h"
+#include "xpath/path_containment.h"
 #include "xpath/quickxscan.h"
 
 namespace xdb {
 
+ValueIndex::ValueIndex(ValueIndexDef def, BTree* tree)
+    : def_(std::move(def)), tree_(tree) {
+  Result<xpath::Path> path = xpath::ParsePath(def_.path);
+  path_status_ = path.status();
+  if (path.ok()) path_ = path.MoveValue();
+}
+
 Status ValueIndex::ChangeDocument(IndexedDocument* doc, bool add) {
-  std::unique_ptr<XmlEventSource> source = doc->Events();
+  XDB_RETURN_NOT_OK(path_status_);
+  // Compiled per document: name IDs bind to the dictionary as it is now.
   XDB_ASSIGN_OR_RETURN(
-      NodeSequence hits,
-      xpath::EvaluateXPath(def_.path, doc->dict(), source.get(), doc->doc_id(),
-                           /*want_values=*/true));
+      std::unique_ptr<xpath::QueryTree> tree,
+      xpath::QueryTree::Compile(path_, doc->dict(), /*want_values=*/true));
+  std::unique_ptr<XmlEventSource> source = doc->Events();
+  NodeSequence hits;
+  xpath::QuickXScan scan(tree.get(), doc->doc_id());
+  XDB_RETURN_NOT_OK(scan.Run(source.get(), &hits));
   for (const ResultNode& hit : hits) {
     XDB_ASSIGN_OR_RETURN(
         Rid rid, doc->node_index()->Lookup(doc->doc_id(), Slice(hit.node_id)));
     XDB_RETURN_NOT_OK(Change(Slice(hit.string_value), doc->doc_id(),
                              Slice(hit.node_id), rid, add));
+  }
+  return Status::OK();
+}
+
+Status ValueIndex::UpdateText(TextUpdate* update) {
+  XDB_RETURN_NOT_OK(path_status_);
+  XDB_ASSIGN_OR_RETURN(const std::vector<TextUpdate::Ancestor>* ancestors,
+                       update->Ancestors());
+  const uint64_t doc_id = update->doc_id();
+  for (const TextUpdate::Ancestor& a : *ancestors) {
+    if (!xpath::PathContains(path_, a.path)) continue;
+    std::string before, after;
+    XDB_RETURN_NOT_OK(update->Values(a, &before, &after));
+    XDB_ASSIGN_OR_RETURN(Rid rid,
+                         update->node_index()->Lookup(doc_id, a.node_id));
+    XDB_RETURN_NOT_OK(Remove(before, doc_id, a.node_id, rid));
+    XDB_RETURN_NOT_OK(Add(after, doc_id, a.node_id, rid));
   }
   return Status::OK();
 }

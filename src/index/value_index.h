@@ -58,8 +58,9 @@ class ValueIndexStatsListener {
 
 class ValueIndex : public SecondaryIndex {
  public:
-  ValueIndex(ValueIndexDef def, BTree* tree)
-      : def_(std::move(def)), tree_(tree) {}
+  /// Parses the definition's path once; every document add/remove and
+  /// text update reuses it.
+  ValueIndex(ValueIndexDef def, BTree* tree);
 
   const ValueIndexDef& def() const { return def_; }
   IndexKind kind() const override { return IndexKind::kValue; }
@@ -75,6 +76,9 @@ class ValueIndex : public SecondaryIndex {
   Status RemoveDocument(IndexedDocument* doc) override {
     return ChangeDocument(doc, /*add=*/false);
   }
+  /// Swaps old for new string value on every ancestor of the text node that
+  /// the index path selects.
+  Status UpdateText(TextUpdate* update) override;
 
   /// Installs (or clears, with nullptr) the statistics listener.
   void set_stats_listener(ValueIndexStatsListener* listener) {
@@ -109,6 +113,8 @@ class ValueIndex : public SecondaryIndex {
                 bool add);
 
   ValueIndexDef def_;
+  Status path_status_;  // outcome of parsing def_.path
+  xpath::Path path_;
   BTree* tree_;
   ValueIndexStatsListener* stats_ = nullptr;
 };

@@ -25,6 +25,7 @@
 #include "storage/wal_log.h"
 #include "testing/fault_injector.h"
 #include "util/workload.h"
+#include "xml/node_id.h"
 
 namespace xdb {
 namespace repl {
@@ -280,6 +281,47 @@ TEST_F(ReplTest, ReplicaRejectsEveryLocalMutation) {
       replica->RegisterSchema("s", "<schema/>").IsNotSupported());
   // Reads still fine.
   EXPECT_EQ(rcoll->DocCount().value(), 1u);
+}
+
+TEST_F(ReplTest, RefusedReplicaWritesLeaveNameDictionaryUntouched) {
+  auto primary = Engine::Open(PrimaryOptions()).MoveValue();
+  auto replica = Engine::Open(ReplicaOptions()).MoveValue();
+  InProcessTransport transport;
+  WalShipper shipper(primary.get(), &transport);
+  auto applier =
+      ReplicaApplier::Attach(replica.get(), &transport).MoveValue();
+  Collection* coll = primary->CreateCollection("docs").value();
+  ASSERT_TRUE(coll->InsertDocument(nullptr, "<a><b>x</b></a>").ok());
+  Pump(&shipper, applier.get());
+
+  // The refusal comes before any parse, so names only a client offered
+  // never reach the replica's dictionary, and a malformed fragment is
+  // refused as a write, not as a parse error.
+  Collection* rcoll = replica->GetCollection("docs").value();
+  const std::string a_id = nodeid::ChildId(1);
+  const size_t names = replica->dict()->size();
+  EXPECT_TRUE(rcoll->InsertSubtree(nullptr, 1, a_id, "", "<zz1/>")
+                  .status()
+                  .IsNotSupported());
+  EXPECT_TRUE(rcoll->InsertSubtree(nullptr, 1, a_id, "", "<zz2>")
+                  .status()
+                  .IsNotSupported());
+  EXPECT_TRUE(rcoll->InsertDocument(nullptr, "<zz3 q='1'/>")
+                  .status()
+                  .IsNotSupported());
+  EXPECT_EQ(replica->dict()->size(), names);
+
+  // The primary then defines the same names; the replica's name IDs stay
+  // the primary's, so shipped documents read back intact.
+  Result<std::string> graft =
+      coll->InsertSubtree(nullptr, 1, a_id, "", "<zz1/>");
+  ASSERT_TRUE(graft.ok()) << graft.status().ToString();
+  ASSERT_TRUE(coll->InsertDocument(nullptr, "<zz3 q='1'/>").ok());
+  Pump(&shipper, applier.get());
+  EXPECT_EQ(replica->dict()->size(), primary->dict()->size());
+  EXPECT_EQ(rcoll->GetDocumentText(nullptr, 1).value(),
+            coll->GetDocumentText(nullptr, 1).value());
+  EXPECT_EQ(rcoll->GetDocumentText(nullptr, 2).value(), "<zz3 q=\"1\"/>");
 }
 
 // --- WAL retention vs checkpoints, and the stream-base fold ---

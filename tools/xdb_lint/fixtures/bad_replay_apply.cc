@@ -15,4 +15,11 @@ Status Collection::ApplyDropIndex(IndexKind kind, const std::string& name) {
   return AppendWal(name);  // LINT-EXPECT[replay-apply]
 }
 
+// The replay entry of document writes re-logs what it applies.
+Status Collection::ApplyLogged(const DocWrite& op) {
+  XDB_RETURN_NOT_OK(engine_->LogWrite(meta_.name, op));  // LINT-EXPECT[replay-apply]
+  WriterMutexLock latch(latch_);
+  return ApplyWrite(nullptr, op, nullptr);
+}
+
 }  // namespace xdb

@@ -3,10 +3,19 @@
 
 namespace xdb {
 
-Result<uint64_t> Collection::InsertTokens(Transaction* txn, Slice tokens) {
+// The write driver guards first, then logs, then applies under the latch.
+Status Collection::Write(Transaction* txn, DocWrite* op, std::string* new_id) {
   XDB_RETURN_NOT_OK(GuardWrite());
-  XDB_RETURN_NOT_OK(engine_->LogInsert(meta_.name, 1, tokens));
-  return InsertTokensLocked(txn, tokens, 1);
+  XDB_RETURN_NOT_OK(engine_->LogWrite(meta_.name, *op));
+  WriterMutexLock latch(latch_);
+  return ApplyWrite(txn, *op, new_id);
+}
+
+// A document write's only path is the driver.
+Result<uint64_t> Collection::InsertTokens(Transaction* txn, Slice tokens) {
+  DocWrite op{.kind = WalRecordType::kInsertDocument, .data = tokens};
+  XDB_RETURN_NOT_OK(Write(txn, &op));
+  return op.doc_id;
 }
 
 // Delegation counts: InsertDocument's only path runs through InsertTokens,

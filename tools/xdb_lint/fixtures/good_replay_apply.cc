@@ -16,6 +16,12 @@ Status Collection::ApplyDropIndex(IndexKind kind, const std::string& name) {
   return Remove(name);
 }
 
+// Document writes re-applied from the log: the apply stage, no logging.
+Status Collection::ApplyLogged(const DocWrite& op) {
+  WriterMutexLock latch(latch_);
+  return ApplyWrite(nullptr, op, nullptr);
+}
+
 // Non-Apply functions may name ddl_mu_ and log freely.
 Status Collection::CreateIndex(const SecondaryIndexDef& def) {
   XDB_RETURN_NOT_OK(GuardWrite());

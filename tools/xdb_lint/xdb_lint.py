@@ -91,16 +91,19 @@ ALL_RULES = [
 # Rule (b) configuration: mutating entry point -> call tokens that count as
 # its guard. A delegate (e.g. InsertDocument -> InsertTokens) is listed when
 # the entry's only path runs through a function that guards first itself.
+# The five document writes have exactly one such path: the write driver
+# Collection::Write, which must guard first itself.
 ENTRY_GUARDS = {
     "Engine::CreateCollection": ["GuardWritable"],
     "Engine::DropCollection": ["GuardWritable"],
     "Engine::RegisterSchema": ["GuardWritable"],
-    "Collection::InsertTokens": ["GuardWrite"],
+    "Collection::Write": ["GuardWrite"],
+    "Collection::InsertTokens": ["Write"],
     "Collection::InsertDocument": ["GuardWrite", "InsertTokens"],
-    "Collection::DeleteDocument": ["GuardWrite"],
-    "Collection::UpdateTextNode": ["GuardWrite"],
-    "Collection::DeleteSubtree": ["GuardWrite"],
-    "Collection::InsertSubtree": ["GuardWrite"],
+    "Collection::DeleteDocument": ["Write"],
+    "Collection::UpdateTextNode": ["Write"],
+    "Collection::DeleteSubtree": ["Write"],
+    "Collection::InsertSubtree": ["Write"],
     "Collection::CreateIndex": ["GuardWrite", "ApplyCreateIndex"],
     "Collection::DropIndex": ["GuardWrite", "ApplyDropIndex"],
     "Collection::ApplyCreateIndex": ["GuardWrite"],
